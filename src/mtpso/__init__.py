@@ -3,9 +3,7 @@ knowledge transfer, plus a reproducible benchmark harness."""
 
 from .core import (
     ALGORITHMS,
-    GbestRecord,
     MtoProblem,
-    Particle,
     RunConfig,
     TaskDef,
     decode,
@@ -22,13 +20,12 @@ from .benchmarks import (
 )
 from .adaptation import (
     MemoryWindow,
-    SourcePool,
-    check_focus,
-    choose_source,
+    choose_sources,
+    focus_flags,
     roulette_select,
     update_probabilities,
 )
-from .optimizer import RunResult, SubpopState, SwarmState, init_swarm, run
+from .optimizer import RunResult, SwarmState, init_swarm, run
 from .metrics import FevTable, TransferStats, aggregate, format_cell, score, transfer_rates
 from .harness import ExperimentSpec, derive_seed, execute, parse_experiment, run_experiment
 
@@ -39,15 +36,11 @@ __all__ = [
     "ExperimentSpec",
     "FevTable",
     "FromFiles",
-    "GbestRecord",
     "GeneratedSeeded",
     "MemoryWindow",
     "MtoProblem",
-    "Particle",
     "RunConfig",
     "RunResult",
-    "SourcePool",
-    "SubpopState",
     "SuiteSpec",
     "SwarmState",
     "TaskDef",
@@ -55,13 +48,13 @@ __all__ = [
     "aggregate",
     "base_eval",
     "build_suite",
-    "check_focus",
-    "choose_source",
+    "choose_sources",
     "decode",
     "derive_seed",
     "encode",
     "evaluate_task",
     "execute",
+    "focus_flags",
     "format_cell",
     "init_swarm",
     "make_task",

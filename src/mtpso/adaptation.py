@@ -1,9 +1,14 @@
 """Knowledge-source adaptation: success/failure memories, learned choice
-probabilities, roulette selection and the focus-search monitor."""
+probabilities, roulette selection and the focus-search monitor.
+
+Counts and probabilities are rows over the k sources: one task's row of
+shape (k,), or the rows of all K tasks at once, shape (K, k), which the
+optimizer updates in one call per generation.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
 
 import numpy as np
 
@@ -15,21 +20,27 @@ class EmptyWindowError(RuntimeError):
 class MemoryWindow:
     """Sliding window of per-source success/failure counts.
 
-    Holds up to ``lp`` completed generation columns in a ring buffer plus
-    one staging column for the generation currently being evaluated.
+    A column is one generation's counts, shape (k,), or (rows, k) for a
+    window with one row per task. Outcomes are staged in the current column
+    until it is committed; the window keeps the last ``lp`` committed
+    columns and rolling sums over them.
     """
 
-    def __init__(self, lp: int, k: int):
-        if lp < 1 or k < 1:
-            raise ValueError("window length and source count must be >= 1")
+    def __init__(self, lp: int, k: int, rows: int | None = None):
+        if lp < 1 or k < 1 or (rows is not None and rows < 1):
+            raise ValueError("window length, source count and row count must be >= 1")
         self.lp = lp
         self.k = k
-        self.ns = np.zeros((lp, k), dtype=np.int64)
-        self.nf = np.zeros((lp, k), dtype=np.int64)
-        self.filled = 0
-        self.head = 0  # index of the oldest stored column
-        self._cur_ns = np.zeros(k, dtype=np.int64)
-        self._cur_nf = np.zeros(k, dtype=np.int64)
+        self.shape = (k,) if rows is None else (rows, k)
+        self._ns_sum = np.zeros(self.shape, dtype=np.int64)
+        self._nf_sum = np.zeros(self.shape, dtype=np.int64)
+        self._cur_ns = np.zeros(self.shape, dtype=np.int64)
+        self._cur_nf = np.zeros(self.shape, dtype=np.int64)
+        self._columns: deque[tuple[np.ndarray, np.ndarray]] = deque()
+
+    @property
+    def filled(self) -> int:
+        return len(self._columns)
 
     def record(self, source: int, improved: bool) -> None:
         """Count one evaluation outcome against the current generation."""
@@ -46,55 +57,41 @@ class MemoryWindow:
         self._cur_nf += np.asarray(nf_col, dtype=np.int64)
 
     def commit_generation(self) -> None:
-        """Store the staged column; overwrites the oldest one when full."""
+        """Store the staged column; evicts the oldest one when full."""
         if self.filled == self.lp:
-            slot = self.head
-            self.head = (self.head + 1) % self.lp
-        else:
-            slot = (self.head + self.filled) % self.lp
-            self.filled += 1
-        self.ns[slot] = self._cur_ns
-        self.nf[slot] = self._cur_nf
-        self._cur_ns[:] = 0
-        self._cur_nf[:] = 0
+            self.evict_oldest()
+        self._columns.append((self._cur_ns, self._cur_nf))
+        self._ns_sum += self._cur_ns
+        self._nf_sum += self._cur_nf
+        self._cur_ns = np.zeros(self.shape, dtype=np.int64)
+        self._cur_nf = np.zeros(self.shape, dtype=np.int64)
 
     def evict_oldest(self) -> None:
-        if self.filled == 0:
+        if not self._columns:
             raise EmptyWindowError("cannot evict from an empty window")
-        self.ns[self.head] = 0
-        self.nf[self.head] = 0
-        self.head = (self.head + 1) % self.lp
-        self.filled -= 1
+        ns, nf = self._columns.popleft()
+        self._ns_sum -= ns
+        self._nf_sum -= nf
 
     def success_sums(self) -> np.ndarray:
-        return self.ns.sum(axis=0)
+        return self._ns_sum.copy()
 
     def failure_sums(self) -> np.ndarray:
-        return self.nf.sum(axis=0)
+        return self._nf_sum.copy()
 
     def columns(self) -> tuple[np.ndarray, np.ndarray]:
         """Stored (ns, nf) columns in oldest-to-newest order."""
-        idx = (self.head + np.arange(self.filled)) % self.lp
-        return self.ns[idx].copy(), self.nf[idx].copy()
-
-
-@dataclass
-class SourcePool:
-    """A task's learned source-choice probabilities and focus flag."""
-
-    p: np.ndarray
-    is_focus: bool = False
-
-    @classmethod
-    def uniform(cls, k: int) -> "SourcePool":
-        return cls(p=np.full(k, 1.0 / k))
+        shape = (self.filled, *self.shape)
+        ns = np.array([c[0] for c in self._columns], dtype=np.int64).reshape(shape)
+        nf = np.array([c[1] for c in self._columns], dtype=np.int64).reshape(shape)
+        return ns, nf
 
 
 def update_probabilities(mem: MemoryWindow, bp: float, eps: float) -> np.ndarray:
-    """Choice probabilities from windowed success rates.
+    """Choice probabilities from windowed success rates, one row per task.
 
     Each source's rate is successes / (successes + failures + eps) plus the
-    floor bp; probabilities are the normalized rates.
+    floor bp; probabilities are the rates normalized over each row.
     """
     if bp < 0 or eps <= 0:
         raise ValueError("bp must be >= 0 and eps > 0")
@@ -103,14 +100,13 @@ def update_probabilities(mem: MemoryWindow, bp: float, eps: float) -> np.ndarray
     ns = mem.success_sums().astype(float)
     nf = mem.failure_sums().astype(float)
     sr = ns / (ns + nf + eps) + bp
-    return sr / sr.sum()
+    return sr / sr.sum(axis=-1, keepdims=True)
 
 
-def check_focus(mem: MemoryWindow) -> bool:
-    """True when no success was recorded in any stored generation."""
-    if mem.filled == 0:
-        return False
-    return bool(mem.success_sums().sum() == 0)
+def focus_flags(mem: MemoryWindow) -> np.ndarray:
+    """Per row: True when no success was recorded in any stored generation
+    (never for an empty window)."""
+    return (mem.success_sums() == 0).all(axis=-1) & (mem.filled > 0)
 
 
 def roulette_select(p: np.ndarray, u: float) -> int:
@@ -120,13 +116,16 @@ def roulette_select(p: np.ndarray, u: float) -> int:
 
 
 def roulette_select_many(p: np.ndarray, us: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(p)
-    return np.minimum(np.searchsorted(cum, us, side="right"), len(p) - 1)
+    """:func:`roulette_select` for every u in ``us``; with p of shape (K, k),
+    row t of ``us`` draws from p[t]. Counting the cumulative probabilities
+    at or below u is the right-sided search, ties included."""
+    cum = np.cumsum(p, axis=-1)
+    picks = np.count_nonzero(cum[..., None, :] <= us[..., None], axis=-1)
+    return np.minimum(picks, p.shape[-1] - 1)
 
 
-def choose_source(pool: SourcePool, own_index: int, u: float) -> int:
-    """The knowledge source for one individual: itself under focus search,
-    otherwise a roulette draw over the pool's probabilities."""
-    if pool.is_focus:
-        return own_index
-    return roulette_select(pool.p, u)
+def choose_sources(p: np.ndarray, focus: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Knowledge sources of a (K, N) batch: row t picks task t itself under
+    focus search, otherwise roulette draws over p[t] with ``us[t]``."""
+    own = np.arange(len(focus))[:, None]
+    return np.where(focus[:, None], own, roulette_select_many(p, us))

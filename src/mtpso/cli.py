@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, metrics
+from .benchmarks import BenchmarkDataError
 from .harness import ConfigError, ExperimentSpec
 
 SEED_ENV_VAR = "MTPSO_SEED"
@@ -25,16 +26,12 @@ def _load_spec(config_path: str, out_override: str | None) -> ExperimentSpec:
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
-            spec = _replace_spec(spec, master_seed=int(env_seed))
+            spec = replace(spec, master_seed=int(env_seed))
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}")
     if out_override is not None:
-        spec = _replace_spec(spec, output_dir=out_override)
+        spec = replace(spec, output_dir=out_override)
     return spec
-
-
-def _replace_spec(spec: ExperimentSpec, **kwargs) -> ExperimentSpec:
-    return replace(spec, **kwargs)
 
 
 def _progress_printer(quiet: bool):
@@ -51,9 +48,12 @@ def _progress_printer(quiet: bool):
 
 def cmd_run(args) -> int:
     spec = _load_spec(args.config, args.out)
+    resolved = harness.resolve_problems(spec)
     print(f"experiment {spec.name!r}: {len(spec.algorithms)} algorithm(s) x "
-          f"{len(spec.problem_ids)} problem(s) x {spec.runs} run(s)")
-    out_dir = harness.run_experiment(spec, jobs=args.jobs, progress=_progress_printer(args.quiet))
+          f"{len(resolved)} problem(s) x {spec.runs} run(s)")
+    out_dir = harness.run_experiment(
+        spec, jobs=args.jobs, progress=_progress_printer(args.quiet), problems=resolved
+    )
     print(f"wrote {out_dir / 'results.csv'}")
     if spec.write_convergence:
         print(f"wrote {out_dir / 'convergence.csv'}")
@@ -122,11 +122,14 @@ def cmd_sweep(args) -> int:
     for value in values:
         for label, config in spec.algorithms:
             swept.append((f"{label}@{param}={value}", replace(config, **{param: value})))
-    spec = _replace_spec(spec, algorithms=tuple(swept))
+    spec = replace(spec, algorithms=tuple(swept))
+    resolved = harness.resolve_problems(spec)
 
     print(f"sweep over {param} = {values}: {len(swept)} configuration(s) x "
-          f"{len(spec.problem_ids)} problem(s) x {spec.runs} run(s)")
-    out_dir = harness.run_experiment(spec, jobs=args.jobs, progress=_progress_printer(args.quiet))
+          f"{len(resolved)} problem(s) x {spec.runs} run(s)")
+    out_dir = harness.run_experiment(
+        spec, jobs=args.jobs, progress=_progress_printer(args.quiet), problems=resolved
+    )
     algorithms, problems, tables, per_problem, mean_scores = _score_results(
         [out_dir / "results.csv"], args.std
     )
@@ -174,7 +177,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, BenchmarkDataError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

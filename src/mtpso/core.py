@@ -8,7 +8,7 @@ onto the task's native box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -97,25 +97,6 @@ class MtoProblem:
     @property
     def num_tasks(self) -> int:
         return len(self.tasks)
-
-
-@dataclass
-class Particle:
-    """Snapshot of one swarm member in the unified space."""
-
-    x: np.ndarray
-    v: np.ndarray
-    pbest: np.ndarray
-    f_pbest: float
-    last_source: int
-
-
-@dataclass
-class GbestRecord:
-    """Best position found by one task's subpopulation, with its fitness."""
-
-    position: np.ndarray
-    fitness: float
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,12 @@ def parse_experiment(cfg: dict, name_default: str = "experiment") -> ExperimentS
             isinstance(p, int) and not isinstance(p, bool) for p in problem_ids
         ):
             raise ConfigError("field 'problem_ids': expected a list of integers")
+        if len(set(problem_ids)) != len(problem_ids):
+            raise ConfigError(f"field 'problem_ids': ids must be unique, got {problem_ids}")
+    flags = {key: cfg.get(key, True) for key in ("write_convergence", "write_transfer")}
+    for key, value in flags.items():
+        if not isinstance(value, bool):
+            raise ConfigError(f"field {key!r}: expected true or false, got {value!r}")
 
     name = cfg.get("name", name_default)
     if not isinstance(name, str) or not name:
@@ -189,8 +195,7 @@ def parse_experiment(cfg: dict, name_default: str = "experiment") -> ExperimentS
         runs=runs,
         master_seed=master_seed,
         output_dir=output_dir,
-        write_convergence=bool(cfg.get("write_convergence", True)),
-        write_transfer=bool(cfg.get("write_transfer", True)),
+        **flags,
     )
     return spec
 
@@ -247,14 +252,17 @@ def execute(
     keep_traces: bool | None = None,
     keep_counts: bool | None = None,
     progress=None,
+    problems: list[tuple[int, MtoProblem]] | None = None,
 ) -> list[CellResult]:
     """Run the whole grid; cells come back ordered by (algorithm, problem,
-    run) regardless of worker count."""
+    run) regardless of worker count. ``problems`` is the spec's resolved
+    problem list, loaded here when not given."""
     if keep_traces is None:
         keep_traces = spec.write_convergence
     if keep_counts is None:
         keep_counts = spec.write_transfer
-    problems = resolve_problems(spec)
+    if problems is None:
+        problems = resolve_problems(spec)
     cells = []
     for label, config in spec.algorithms:
         for pid, problem in problems:
@@ -384,15 +392,22 @@ def write_manifest(path, spec: ExperimentSpec, jobs: int | None = None) -> None:
         fh.write("\n")
 
 
-def run_experiment(spec: ExperimentSpec, jobs: int = 1, progress=None) -> Path:
+def run_experiment(
+    spec: ExperimentSpec,
+    jobs: int = 1,
+    progress=None,
+    problems: list[tuple[int, MtoProblem]] | None = None,
+) -> Path:
     """Execute the grid and write results/convergence/transfer/manifest
-    under the spec's output directory; returns that directory."""
-    if not spec.problem_ids:
-        resolved_ids = tuple(pid for pid, _ in resolve_problems(spec))
-        spec = replace(spec, problem_ids=resolved_ids)
+    under the spec's output directory; returns that directory.
+    ``problems`` is the spec's resolved problem list, loaded here when not
+    given; the manifest lists its ids."""
+    if problems is None:
+        problems = resolve_problems(spec)
+    spec = replace(spec, problem_ids=tuple(pid for pid, _ in problems))
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = execute(spec, jobs=jobs, progress=progress)
+    cells = execute(spec, jobs=jobs, progress=progress, problems=problems)
     write_results_csv(out_dir / "results.csv", spec.name, cells)
     if spec.write_convergence:
         write_convergence_csv(out_dir / "convergence.csv", cells)

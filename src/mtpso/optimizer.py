@@ -9,13 +9,13 @@ probabilities once the learning period has filled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import adaptation
-from .adaptation import MemoryWindow, SourcePool
-from .core import GbestRecord, MtoProblem, Particle, RunConfig, TaskDef, evaluate_task, fev
+from .adaptation import MemoryWindow
+from .core import MtoProblem, RunConfig, TaskDef, evaluate_task
 
 
 @dataclass(frozen=True)
@@ -37,41 +37,33 @@ def _as_problem(problem: MtoProblem | TaskDef):
 
 
 @dataclass
-class SubpopState:
-    """One task's swarm, stored as arrays of shape (N_s, D_u)."""
+class SwarmState:
+    """All K subpopulations of a run, stacked along the first axis.
 
-    task_index: int
+    Positions, velocities and pbest positions have shape (K, N, D_u); pbest
+    fitness and each particle's last chosen source (K, N); the swarm bests
+    (K, D_u) and (K,). Row t of ``probs`` (K, K) holds task t's source
+    probabilities and ``focus[t]`` its focus flag; ``mem`` is the (K, K)
+    success/failure window. Task t draws from its own ``select_rngs[t]``
+    and ``vel_rngs[t]`` streams, into ``picks[t]`` and ``draws[t]``.
+    """
+
+    problem: MtoProblem
+    config: RunConfig
     positions: np.ndarray
     velocities: np.ndarray
     pbest_pos: np.ndarray
     pbest_fit: np.ndarray
     last_source: np.ndarray
-    gbest: GbestRecord
-    pool: SourcePool
+    gbest_pos: np.ndarray
+    gbest_fit: np.ndarray
+    probs: np.ndarray
+    focus: np.ndarray
     mem: MemoryWindow
-    select_rng: np.random.Generator
-    vel_rng: np.random.Generator
-
-    @property
-    def size(self) -> int:
-        return self.positions.shape[0]
-
-    def particle(self, i: int) -> Particle:
-        """Copy of particle i, for inspection and tests."""
-        return Particle(
-            x=self.positions[i].copy(),
-            v=self.velocities[i].copy(),
-            pbest=self.pbest_pos[i].copy(),
-            f_pbest=float(self.pbest_fit[i]),
-            last_source=int(self.last_source[i]),
-        )
-
-
-@dataclass
-class SwarmState:
-    problem: MtoProblem
-    config: RunConfig
-    subpops: list[SubpopState]
+    select_rngs: list[np.random.Generator]
+    vel_rngs: list[np.random.Generator]
+    picks: np.ndarray  # (K, N) roulette draws
+    draws: np.ndarray  # (K, 2 or 3, N, D_u): r1, r2 (and r3 for S1)
     generation: int = 1
 
 
@@ -108,7 +100,7 @@ def velocity_s1(v, x, pbest, gbest_own, gbest_src, w, c1, c2, c3, r1, r2, r3):
     chosen source is its own task (including every particle under focus
     search) does no transfer, so the caller passes ``c3 = 0`` for it and
     the rule reduces to the three-term move with ``c1`` and ``c2``; ``c3``
-    may be an array of per-row coefficients of shape (N, 1).
+    may be an array of per-particle coefficients of shape (N, 1) or (K, N, 1).
     """
     return (
         w * v
@@ -119,13 +111,10 @@ def velocity_s1(v, x, pbest, gbest_own, gbest_src, w, c1, c2, c3, r1, r2, r3):
 
 
 def velocity_s2(v, x, pbest, gbest_src, w, c1, c2, r1, r2):
-    """Three-term update with the chosen source's best in the social term."""
+    """Three-term update with the chosen source's best in the social term.
+    With the particle's own swarm best as the source it is the classic PSO
+    update, which the no-transfer baseline uses."""
     return w * v + c1 * r1 * (pbest - x) + c2 * r2 * (gbest_src - x)
-
-
-def velocity_pso(v, x, pbest, gbest, w, c1, c2, r1, r2):
-    """Classic update used by the no-transfer baseline."""
-    return w * v + c1 * r1 * (pbest - x) + c2 * r2 * (gbest - x)
 
 
 BOUNCE_DAMPING = 0.5
@@ -138,16 +127,21 @@ def step_position(x, v):
     Hard clamping (zeroed velocity at the wall) collapses the swarm long
     before the inertia schedule ends and stalls convergence by orders of
     magnitude; a damped bounce keeps the box invariant without the stall.
+    ``x`` and ``v`` are arrays of one shape; ``v`` itself is returned when
+    nothing bounces. Only the leaving entries are folded back (``np.mod``
+    is slow).
     """
     moved = x + v
-    out = (moved < 0.0) | (moved > 1.0)
-    if np.any(out):
-        folded = np.mod(moved, 2.0)
-        reflected = np.where(folded > 1.0, 2.0 - folded, folded)
-        position = np.where(out, reflected, moved)
-        velocity = np.where(out, -BOUNCE_DAMPING * v, v)
-        return position, velocity
-    return moved, v
+    out = np.flatnonzero((moved < 0.0) | (moved > 1.0))
+    if out.size == 0:
+        return moved, v
+    flat = moved.reshape(-1)
+    folded = np.mod(flat[out], 2.0)
+    flat[out] = np.where(folded > 1.0, 2.0 - folded, folded)
+    velocity = v.copy()
+    flat_v = velocity.reshape(-1)
+    flat_v[out] = -BOUNCE_DAMPING * flat_v[out]
+    return moved, velocity
 
 
 def init_swarm(problem: MtoProblem | TaskDef, config: RunConfig) -> SwarmState:
@@ -159,80 +153,90 @@ def init_swarm(problem: MtoProblem | TaskDef, config: RunConfig) -> SwarmState:
     k = problem.num_tasks
     n_s = config.pop_per_task
     d_u = problem.unified_dim
-    root = np.random.SeedSequence(config.seed)
-    subpops = []
-    for t, task_ss in enumerate(root.spawn(k)):
+    positions = np.empty((k, n_s, d_u))
+    fit = np.empty((k, n_s))
+    select_rngs, vel_rngs = [], []
+    for t, task_ss in enumerate(np.random.SeedSequence(config.seed).spawn(k)):
         init_ss, select_ss, vel_ss = task_ss.spawn(3)
-        init_rng = np.random.default_rng(init_ss)
-        positions = init_rng.random((n_s, d_u))
-        fit = np.asarray(evaluate_task(positions, problem.tasks[t]), dtype=float)
-        best = int(np.argmin(fit))
-        subpops.append(
-            SubpopState(
-                task_index=t,
-                positions=positions,
-                velocities=np.zeros((n_s, d_u)),
-                pbest_pos=positions.copy(),
-                pbest_fit=fit.copy(),
-                last_source=np.full(n_s, t, dtype=np.int64),
-                gbest=GbestRecord(position=positions[best].copy(), fitness=float(fit[best])),
-                pool=SourcePool.uniform(k),
-                mem=MemoryWindow(config.lp, k),
-                select_rng=np.random.default_rng(select_ss),
-                vel_rng=np.random.default_rng(vel_ss),
-            )
+        np.random.default_rng(init_ss).random(out=positions[t])
+        fit[t] = evaluate_task(positions[t], problem.tasks[t])
+        select_rngs.append(np.random.default_rng(select_ss))
+        vel_rngs.append(np.random.default_rng(vel_ss))
+    tasks = np.arange(k)
+    best = np.argmin(fit, axis=1)
+    n_draws = 3 if config.algorithm == "samtpso-s1" else 2
+    return SwarmState(
+        problem=problem,
+        config=config,
+        positions=positions,
+        velocities=np.zeros((k, n_s, d_u)),
+        pbest_pos=positions.copy(),
+        pbest_fit=fit,
+        last_source=np.repeat(tasks[:, None], n_s, axis=1),
+        gbest_pos=positions[tasks, best],
+        gbest_fit=fit[tasks, best],
+        probs=np.full((k, k), 1.0 / k),
+        focus=np.zeros(k, dtype=bool),
+        mem=MemoryWindow(config.lp, k, rows=k),
+        select_rngs=select_rngs,
+        vel_rngs=vel_rngs,
+        picks=np.empty((k, n_s)),
+        draws=np.empty((k, n_draws, n_s, d_u)),
+    )
+
+
+def _move_swarm(state: SwarmState, w: float) -> None:
+    """Choose every particle's source and take one velocity and bounce step
+    for all tasks at once; only the random draws are made task by task."""
+    config = state.config
+    if config.algorithm != "pso":
+        for t in np.flatnonzero(~state.focus):
+            state.select_rngs[t].random(out=state.picks[t])
+        state.last_source = adaptation.choose_sources(state.probs, state.focus, state.picks)
+    for t, rng in enumerate(state.vel_rngs):
+        rng.random(out=state.draws[t])
+    r = state.draws
+    x, v, pb = state.positions, state.velocities, state.pbest_pos
+    g_own = state.gbest_pos[:, None, :]
+    g_src = g_own if config.algorithm == "pso" else state.gbest_pos[state.last_source]
+    if config.algorithm == "samtpso-s1":
+        own = np.arange(len(g_own))[:, None]
+        c3 = np.where(state.last_source == own, 0.0, config.c3)[..., None]
+        v_new = velocity_s1(
+            v, x, pb, g_own, g_src, w, config.c1, config.c2, c3, r[:, 0], r[:, 1], r[:, 2]
         )
-    return SwarmState(problem=problem, config=config, subpops=subpops)
-
-
-def _move_subpop(sp: SubpopState, gbest_mat: np.ndarray, w: float, config: RunConfig) -> None:
-    n_s, d_u = sp.positions.shape
-    t = sp.task_index
-    x, v, pb = sp.positions, sp.velocities, sp.pbest_pos
-    if config.algorithm == "pso":
-        r1 = sp.vel_rng.random((n_s, d_u))
-        r2 = sp.vel_rng.random((n_s, d_u))
-        v_new = velocity_pso(v, x, pb, gbest_mat[t], w, config.c1, config.c2, r1, r2)
     else:
-        if sp.pool.is_focus:
-            iks = np.full(n_s, t, dtype=np.int64)
-        else:
-            us = sp.select_rng.random(n_s)
-            iks = adaptation.roulette_select_many(sp.pool.p, us)
-        sp.last_source = iks
-        g_src = gbest_mat[iks]
-        r1 = sp.vel_rng.random((n_s, d_u))
-        r2 = sp.vel_rng.random((n_s, d_u))
-        if config.algorithm == "samtpso-s1":
-            r3 = sp.vel_rng.random((n_s, d_u))
-            c3 = np.where(iks == t, 0.0, config.c3)[:, None]
-            v_new = velocity_s1(
-                v, x, pb, gbest_mat[t], g_src, w, config.c1, config.c2, c3, r1, r2, r3
-            )
-        else:
-            v_new = velocity_s2(v, x, pb, g_src, w, config.c1, config.c2, r1, r2)
-    sp.positions, sp.velocities = step_position(x, v_new)
+        v_new = velocity_s2(v, x, pb, g_src, w, config.c1, config.c2, r[:, 0], r[:, 1])
+    state.positions, state.velocities = step_position(x, v_new)
 
 
-def evaluate_and_update(sp: SubpopState, task: TaskDef, record_outcomes: bool = True) -> None:
-    """Evaluate moved particles, refresh pbest/gbest (strict improvement
-    only), and tally outcomes against each particle's chosen source."""
-    fitness = np.asarray(evaluate_task(sp.positions, task), dtype=float)
-    improved = fitness < sp.pbest_fit
-    if np.any(improved):
-        sp.pbest_pos[improved] = sp.positions[improved]
-        sp.pbest_fit[improved] = fitness[improved]
-        cand = np.flatnonzero(improved)
-        j = cand[np.argmin(fitness[cand])]
-        if fitness[j] < sp.gbest.fitness:
-            sp.gbest.position = sp.positions[j].copy()
-            sp.gbest.fitness = float(fitness[j])
-    if record_outcomes:
-        k = sp.mem.k
-        ns_col = np.bincount(sp.last_source[improved], minlength=k)
-        nf_col = np.bincount(sp.last_source[~improved], minlength=k)
-        sp.mem.record_counts(ns_col, nf_col)
-        sp.mem.commit_generation()
+def evaluate_and_update(state: SwarmState, record_outcomes: bool = True) -> np.ndarray | None:
+    """Evaluate every moved particle on its own task, refresh pbest/gbest
+    (strict improvement only), and tally outcomes against each particle's
+    chosen source. Returns the (K, K) source-choice counts when tallying."""
+    fitness = np.empty_like(state.pbest_fit)
+    for t, task in enumerate(state.problem.tasks):
+        fitness[t] = evaluate_task(state.positions[t], task)
+    improved = fitness < state.pbest_fit
+    state.pbest_pos[improved] = state.positions[improved]
+    state.pbest_fit[improved] = fitness[improved]
+    # each task's first best improved particle, if it beats the swarm best
+    cand = np.where(improved, fitness, np.inf)
+    tasks = np.arange(len(cand))
+    j = np.argmin(cand, axis=1)
+    best = cand[tasks, j]
+    better = best < state.gbest_fit
+    state.gbest_pos[better] = state.positions[tasks[better], j[better]]
+    state.gbest_fit[better] = best[better]
+    if not record_outcomes:
+        return None
+    k = len(tasks)
+    flat = (tasks[:, None] * k + state.last_source).ravel()
+    counts = np.bincount(flat, minlength=k * k).reshape(k, k)
+    ns = np.bincount(flat[improved.ravel()], minlength=k * k).reshape(k, k)
+    state.mem.record_counts(ns, counts - ns)
+    state.mem.commit_generation()
+    return counts
 
 
 def run_generation(state: SwarmState) -> np.ndarray | None:
@@ -242,21 +246,12 @@ def run_generation(state: SwarmState) -> np.ndarray | None:
     config = state.config
     adaptive = config.algorithm != "pso"
     w = inertia_weight(state.generation, config.max_gens, config.w_start, config.w_end)
-    k = state.problem.num_tasks
-    gbest_mat = np.stack([sp.gbest.position for sp in state.subpops])
-
-    counts = np.zeros((k, k), dtype=np.int64) if adaptive else None
-    for sp in state.subpops:
-        _move_subpop(sp, gbest_mat, w, config)
-        if adaptive:
-            counts[sp.task_index] = np.bincount(sp.last_source, minlength=k)
-    for sp in state.subpops:
-        evaluate_and_update(sp, state.problem.tasks[sp.task_index], record_outcomes=adaptive)
+    _move_swarm(state, w)
+    counts = evaluate_and_update(state, record_outcomes=adaptive)
     if adaptive and state.generation > config.lp:
-        for sp in state.subpops:
-            sp.pool.p = adaptation.update_probabilities(sp.mem, config.bp, config.eps)
-            sp.pool.is_focus = adaptation.check_focus(sp.mem)
-            sp.mem.evict_oldest()
+        state.probs = adaptation.update_probabilities(state.mem, config.bp, config.eps)
+        state.focus = adaptation.focus_flags(state.mem)
+        state.mem.evict_oldest()
     return counts
 
 
@@ -271,17 +266,16 @@ def run(problem: MtoProblem | TaskDef, config: RunConfig, observer=None) -> RunR
     k = problem.num_tasks
     gens = config.max_gens
     adaptive = config.algorithm != "pso"
+    optimum = np.array([task.optimum_value for task in problem.tasks])
     trace = np.empty((gens, k))
-    trace[0] = [fev(sp.gbest.fitness, problem.tasks[sp.task_index]) for sp in state.subpops]
+    trace[0] = state.gbest_fit - optimum
     counts_hist = np.zeros((gens - 1, k, k), dtype=np.int64) if adaptive else None
     if observer is not None:
         observer(state)
     while state.generation < gens:
         counts = run_generation(state)
         g = state.generation
-        trace[g - 1] = [
-            fev(sp.gbest.fitness, problem.tasks[sp.task_index]) for sp in state.subpops
-        ]
+        trace[g - 1] = state.gbest_fit - optimum
         if counts is not None:
             counts_hist[g - 2] = counts
         if observer is not None:
@@ -292,6 +286,6 @@ def run(problem: MtoProblem | TaskDef, config: RunConfig, observer=None) -> RunR
         pop_per_task=config.pop_per_task,
         fev_trace=trace,
         source_counts=counts_hist,
-        best_positions=np.stack([sp.gbest.position for sp in state.subpops]),
+        best_positions=state.gbest_pos.copy(),
         best_fevs=trace[-1].copy(),
     )

@@ -126,22 +126,24 @@ class _InvariantObserver:
 
     def __call__(self, state):
         g = state.generation
-        for t, sp in enumerate(state.subpops):
-            assert np.all(sp.positions >= 0.0) and np.all(sp.positions <= 1.0), "position bounds"
-            assert abs(sp.pool.p.sum() - 1.0) <= 1e-12, "probability simplex"
-            assert np.all(sp.pool.p > 0.0), "probability positivity"
+        for t in range(self.k):
+            positions, p = state.positions[t], state.probs[t]
+            last_source = state.last_source[t]
+            assert np.all(positions >= 0.0) and np.all(positions <= 1.0), "position bounds"
+            assert abs(p.sum() - 1.0) <= 1e-12, "probability simplex"
+            assert np.all(p > 0.0), "probability positivity"
             if g >= 2:
-                improved = sp.pbest_fit < self.prev_pbest[t]
-                ns_col = np.bincount(sp.last_source[improved], minlength=self.k)
-                nf_col = np.bincount(sp.last_source[~improved], minlength=self.k)
+                improved = state.pbest_fit[t] < self.prev_pbest[t]
+                ns_col = np.bincount(last_source[improved], minlength=self.k)
+                nf_col = np.bincount(last_source[~improved], minlength=self.k)
                 assert ns_col.sum() + nf_col.sum() == self.n_s, "memory column conservation"
                 self.naive_ns[t].append(ns_col)
                 if g > self.lp:
                     window = self.naive_ns[t][-self.lp :]
                     expected_focus = bool(np.sum(window) == 0)
-                    assert sp.pool.is_focus == expected_focus, "focus predicate"
+                    assert state.focus[t] == expected_focus, "focus predicate"
                     self.checked += 1
-        self.prev_pbest = [sp.pbest_fit.copy() for sp in state.subpops]
+        self.prev_pbest = state.pbest_fit.copy()
 
 
 def test_criterion_3_invariant_suite():
@@ -230,9 +232,9 @@ def test_criterion_6_focus_search_effect():
     choices = {}  # generation -> task 1's source choices made in that generation
 
     def observer(state):
-        focus_after[state.generation] = state.subpops[0].pool.is_focus
+        focus_after[state.generation] = bool(state.focus[0])
         if state.generation >= 2:
-            choices[state.generation] = state.subpops[0].last_source.copy()
+            choices[state.generation] = state.last_source[0].copy()
 
     run(problem, config, observer=observer)
 

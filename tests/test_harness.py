@@ -104,6 +104,20 @@ class TestParseExperiment:
         spec = parse_experiment({"algorithms": ["pso"]})
         assert spec.algorithms[0][0] == "pso"
 
+    @pytest.mark.parametrize("key", ["write_convergence", "write_transfer"])
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
+    def test_write_flags_must_be_booleans(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_experiment({key: value})
+
+    def test_write_flags_accept_booleans(self):
+        spec = parse_experiment({"write_convergence": False, "write_transfer": True})
+        assert spec.write_convergence is False and spec.write_transfer is True
+
+    def test_duplicate_problem_ids_rejected(self):
+        with pytest.raises(ConfigError, match="problem_ids"):
+            parse_experiment({"problem_ids": [1, 1]})
+
 
 class TestSeeds:
     def test_deterministic(self):
@@ -373,6 +387,45 @@ class TestCli:
         scores = (tmp_path / "sweep" / "scores.csv").read_text()
         for value in (2, 5, 10):
             assert f"samtpso-s1@lp={value}" in scores
+
+    @pytest.fixture()
+    def one_task_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        task = problem_to_dict(MtoProblem(tasks=(make_task("sphere", 3, 1), make_task("sphere", 3, 2))))["tasks"][0]
+        path.write_text(json.dumps({"problems": [{"tasks": [task]}]}))
+        return str(path)
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "lp", "--values", "2"]])
+    def test_malformed_task_file_exits_2(self, one_task_file, tmp_path, capsys, command):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(tiny_config(one_task_file, tmp_path / "out")))
+        assert cli.main([command[0], "--config", str(cfg_path), *command[1:], "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "at least 2 tasks" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, expected",
+        [
+            (["run"], "2 algorithm(s) x 2 problem(s) x 1 run(s)"),
+            (["sweep", "--param", "lp", "--values", "2,5"], "4 configuration(s) x 2 problem(s) x 1 run(s)"),
+        ],
+    )
+    def test_task_file_suite_prints_resolved_problem_count(self, tiny_problems, tmp_path, capsys,
+                                                           monkeypatch, command, expected):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(tiny_config(tiny_problems, tmp_path / "out", runs=1, max_gens=4)))
+        loads = []
+        load = harness.benchmarks.load_problem_files
+
+        def counting_load(path):
+            loads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(harness.benchmarks, "load_problem_files", counting_load)
+        assert cli.main([command[0], "--config", str(cfg_path), *command[1:], "--quiet"]) == 0
+        assert expected in capsys.readouterr().out
+        assert len(loads) == 1
 
     def test_sweep_default_grid_is_papers(self, tiny_problems, tmp_path):
         assert harness.SWEEP_GRIDS["bp"] == (0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1)

@@ -3,7 +3,6 @@ import copy
 import numpy as np
 import pytest
 
-from mtpso.adaptation import SourcePool
 from mtpso.benchmarks import make_task
 from mtpso.core import MtoProblem, RunConfig, evaluate_task
 from mtpso.optimizer import (
@@ -13,7 +12,6 @@ from mtpso.optimizer import (
     run,
     run_generation,
     step_position,
-    velocity_pso,
     velocity_s1,
     velocity_s2,
 )
@@ -72,7 +70,7 @@ class TestVelocityRules:
         r1, r2 = rng.random((2, 6))
         assert np.allclose(
             velocity_s2(v, x, pb, gb, 0.6, 1.494, 1.494, r1, r2),
-            velocity_pso(v, x, pb, gb, 0.6, 1.494, 1.494, r1, r2),
+            0.6 * v + 1.494 * r1 * (pb - x) + 1.494 * r2 * (gb - x),
         )
 
     def test_zero_coefficients_leave_inertia(self):
@@ -88,33 +86,32 @@ class TestS1SelfChoice:
 
     def step_and_check(self, force_focus):
         """Step one S1 generation, replaying r1, r2, r3 from a copy of each
-        subpopulation's velocity stream, and return each subpop's mask of
-        particles that chose another task."""
+        task's velocity stream, and return each task's mask of particles
+        that chose another task."""
         cfg = RunConfig(algorithm="samtpso-s1", pop_per_task=40, seed=11, max_gens=50, lp=30)
         state = init_swarm(small_problem(), cfg)
         for _ in range(4):
             run_generation(state)
-        for sp in state.subpops:
-            sp.pool.is_focus = force_focus
-        gbest_mat = np.stack([sp.gbest.position for sp in state.subpops])
+        state.focus[:] = force_focus
+        gbest_mat = state.gbest_pos.copy()
         before = [
-            (sp.positions.copy(), sp.velocities.copy(), sp.pbest_pos.copy(), copy.deepcopy(sp.vel_rng))
-            for sp in state.subpops
+            (state.positions[t].copy(), state.velocities[t].copy(), state.pbest_pos[t].copy(),
+             copy.deepcopy(state.vel_rngs[t]))
+            for t in range(2)
         ]
         run_generation(state)
         w = inertia_weight(state.generation, cfg.max_gens, cfg.w_start, cfg.w_end)
         masks = []
-        for sp, (x, v, pb, rng) in zip(state.subpops, before):
-            t = sp.task_index
+        for t, (x, v, pb, rng) in enumerate(before):
             shape = x.shape
             r1, r2, r3 = rng.random(shape), rng.random(shape), rng.random(shape)
             three_term = w * v + cfg.c1 * r1 * (pb - x) + cfg.c2 * r2 * (gbest_mat[t] - x)
-            other = (sp.last_source != t)[:, None]
-            source_term = cfg.c3 * r3 * (gbest_mat[sp.last_source] - x)
+            other = (state.last_source[t] != t)[:, None]
+            source_term = cfg.c3 * r3 * (gbest_mat[state.last_source[t]] - x)
             expected = three_term + np.where(other, source_term, 0.0)
             exp_x, exp_v = step_position(x, expected)
-            assert np.allclose(sp.velocities, exp_v, rtol=1e-12, atol=1e-15)
-            assert np.allclose(sp.positions, exp_x, rtol=1e-12, atol=1e-15)
+            assert np.allclose(state.velocities[t], exp_v, rtol=1e-12, atol=1e-15)
+            assert np.allclose(state.positions[t], exp_x, rtol=1e-12, atol=1e-15)
             masks.append(other)
         return masks
 
@@ -125,6 +122,47 @@ class TestS1SelfChoice:
     def test_only_other_task_choices_carry_source_term(self):
         for other in self.step_and_check(force_focus=False):
             assert other.any() and not other.all()
+
+
+class TestStackedEqualsPerTask:
+    """The move on (K, N, D) arrays equals K per-task calls bit for bit."""
+
+    K, N, D = 4, 7, 5
+
+    def arrays(self, seed):
+        rng = np.random.default_rng(seed)
+        x, pb = rng.random((2, self.K, self.N, self.D))
+        v = rng.uniform(-0.5, 0.5, (self.K, self.N, self.D))
+        gbest = rng.random((self.K, self.D))
+        iks = rng.integers(0, self.K, (self.K, self.N))
+        r1, r2, r3 = rng.random((3, self.K, self.N, self.D))
+        return x, v, pb, gbest, iks, r1, r2, r3
+
+    def test_velocity_s1_with_per_row_c3(self):
+        for seed in range(5):
+            x, v, pb, gbest, iks, r1, r2, r3 = self.arrays(seed)
+            own = np.arange(self.K)[:, None]
+            c3 = np.where(iks == own, 0.0, 1.1)[..., None]
+            stacked = velocity_s1(v, x, pb, gbest[:, None, :], gbest[iks], 0.7, 1.1, 1.1, c3, r1, r2, r3)
+            for t in range(self.K):
+                c3_t = np.where(iks[t] == t, 0.0, 1.1)[:, None]
+                one = velocity_s1(v[t], x[t], pb[t], gbest[t], gbest[iks[t]], 0.7, 1.1, 1.1, c3_t,
+                                  r1[t], r2[t], r3[t])
+                assert np.array_equal(stacked[t], one)
+
+    def test_step_position_when_only_some_tasks_bounce(self):
+        for seed in range(5):
+            x, v, *_ = self.arrays(seed)
+            x = 0.25 + 0.5 * x
+            v[::2] *= 0.4  # tasks 0 and 2 stay inside the box
+            v[1, 0, 0] = 3.7
+            x_all, v_all = step_position(x, v)
+            bounced = []
+            for t, v_in in enumerate(v):
+                x_t, v_t = step_position(x[t], v_in)
+                assert np.array_equal(x_all[t], x_t) and np.array_equal(v_all[t], v_t)
+                bounced.append(v_t is not v_in)
+            assert bounced[1] and not bounced[0] and not bounced[2]
 
 
 class TestStepPosition:
@@ -168,51 +206,50 @@ class TestStepPosition:
 class TestInitSwarm:
     def test_structure(self):
         state = init_swarm(small_problem(), RunConfig(algorithm="samtpso-s1", pop_per_task=50, seed=3))
-        assert len(state.subpops) == 2
-        for sp in state.subpops:
-            assert sp.size == 50
-            assert np.allclose(sp.pool.p, 0.5)
-            assert sp.pool.is_focus is False
-            assert np.all(sp.velocities == 0.0)
-            assert np.array_equal(sp.pbest_pos, sp.positions)
-            assert sp.mem.filled == 0
+        assert state.positions.shape == (2, 50, 5)
+        for t in range(2):
+            assert state.positions[t].shape[0] == 50
+            assert np.allclose(state.probs[t], 0.5)
+            assert not state.focus[t]
+            assert np.all(state.velocities[t] == 0.0)
+            assert np.array_equal(state.pbest_pos[t], state.positions[t])
+        assert state.mem.filled == 0
         assert state.generation == 1
 
     def test_deterministic(self):
         cfg = RunConfig(algorithm="samtpso-s1", pop_per_task=20, seed=9)
         a = init_swarm(small_problem(), cfg)
         b = init_swarm(small_problem(), cfg)
-        for sa, sb in zip(a.subpops, b.subpops):
-            assert np.array_equal(sa.positions, sb.positions)
-            assert np.array_equal(sa.pbest_fit, sb.pbest_fit)
+        for t in range(2):
+            assert np.array_equal(a.positions[t], b.positions[t])
+            assert np.array_equal(a.pbest_fit[t], b.pbest_fit[t])
 
     def test_gbest_is_min_pbest(self):
         state = init_swarm(small_problem(), RunConfig(algorithm="samtpso-s2", pop_per_task=30, seed=1))
-        for sp in state.subpops:
-            assert sp.gbest.fitness == sp.pbest_fit.min()
-            assert sp.gbest.fitness <= sp.pbest_fit.min()
+        for t in range(2):
+            assert state.gbest_fit[t] == state.pbest_fit[t].min()
+            assert state.gbest_fit[t] <= state.pbest_fit[t].min()
 
     def test_pbest_fitness_consistent(self):
         problem = small_problem()
         state = init_swarm(problem, RunConfig(algorithm="samtpso-s1", pop_per_task=10, seed=2))
-        for sp in state.subpops:
-            task = problem.tasks[sp.task_index]
-            for i in range(sp.size):
-                p = sp.particle(i)
-                ref = evaluate_task(p.pbest, task)
-                assert p.f_pbest == pytest.approx(ref, rel=1e-12)
+        for t, task in enumerate(problem.tasks):
+            for i in range(state.positions.shape[1]):
+                ref = evaluate_task(state.pbest_pos[t, i], task)
+                assert float(state.pbest_fit[t, i]) == pytest.approx(ref, rel=1e-12)
 
 
 class TestEvaluateAndUpdate:
-    def make_subpop(self, positions, pbest_fit, last_source, problem):
+    def make_state(self, positions, pbest_fit, last_source, problem):
+        """A swarm whose task 0 holds the given particles; the assertions
+        read task 0's row."""
         cfg = RunConfig(algorithm="samtpso-s1", pop_per_task=len(positions), seed=0)
         state = init_swarm(problem, cfg)
-        sp = state.subpops[0]
-        sp.positions = np.asarray(positions, dtype=float)
-        sp.pbest_fit = np.asarray(pbest_fit, dtype=float)
-        sp.pbest_pos = sp.positions * 0.0 + 0.25
-        sp.last_source = np.asarray(last_source, dtype=np.int64)
-        return state, sp
+        state.positions[0] = positions
+        state.pbest_fit[0] = pbest_fit
+        state.pbest_pos[0] = 0.25
+        state.last_source[0] = last_source
+        return state
 
     def test_improve_improve_worsen_tally(self):
         problem = small_problem()
@@ -221,35 +258,35 @@ class TestEvaluateAndUpdate:
         fits = np.asarray(evaluate_task(positions, task))
         # pbest thresholds placed so particles 0,1 improve and 2 worsens
         pbest_fit = np.array([fits[0] + 1.0, fits[1] + 1.0, fits[2] - 1.0])
-        state, sp = self.make_subpop(positions, pbest_fit, [0, 1, 1], problem)
-        evaluate_and_update(sp, task)
-        ns, nf = sp.mem.columns()
-        assert ns[-1].sum() == 2
-        assert nf[-1].sum() == 1
-        assert np.array_equal(ns[-1], [1, 1])
-        assert np.array_equal(nf[-1], [0, 1])
+        state = self.make_state(positions, pbest_fit, [0, 1, 1], problem)
+        evaluate_and_update(state)
+        ns, nf = state.mem.columns()
+        assert ns[-1, 0].sum() == 2
+        assert nf[-1, 0].sum() == 1
+        assert np.array_equal(ns[-1, 0], [1, 1])
+        assert np.array_equal(nf[-1, 0], [0, 1])
 
     def test_tie_counts_as_failure(self):
         problem = small_problem()
         task = problem.tasks[0]
         positions = np.array([[0.2] * 5])
         fit = float(np.asarray(evaluate_task(positions, task))[0])
-        state, sp = self.make_subpop(positions, [fit], [0], problem)
-        old_pbest = sp.pbest_pos.copy()
-        evaluate_and_update(sp, task)
-        ns, nf = sp.mem.columns()
-        assert ns[-1].sum() == 0 and nf[-1].sum() == 1
-        assert np.array_equal(sp.pbest_pos, old_pbest)
+        state = self.make_state(positions, [fit], [0], problem)
+        old_pbest = state.pbest_pos[0].copy()
+        evaluate_and_update(state)
+        ns, nf = state.mem.columns()
+        assert ns[-1, 0].sum() == 0 and nf[-1, 0].sum() == 1
+        assert np.array_equal(state.pbest_pos[0], old_pbest)
 
     def test_gbest_updated_to_subpop_min(self):
         problem = small_problem()
         task = problem.tasks[0]
         positions = np.array([[0.2] * 5, [0.21] * 5])
         fits = np.asarray(evaluate_task(positions, task))
-        state, sp = self.make_subpop(positions, fits + 10.0, [0, 0], problem)
-        sp.gbest.fitness = fits.min() + 5.0
-        evaluate_and_update(sp, task)
-        assert sp.gbest.fitness == fits.min()
+        state = self.make_state(positions, fits + 10.0, [0, 0], problem)
+        state.gbest_fit[0] = fits.min() + 5.0
+        evaluate_and_update(state)
+        assert state.gbest_fit[0] == fits.min()
 
 
 class TestRunLoops:
@@ -258,9 +295,9 @@ class TestRunLoops:
         for _ in range(10):
             counts = run_generation(state)
         assert counts is None
-        for sp in state.subpops:
-            assert sp.mem.filled == 0
-            assert np.allclose(sp.pool.p, 0.5)  # untouched
+        assert state.mem.filled == 0
+        for t in range(2):
+            assert np.allclose(state.probs[t], 0.5)  # untouched
 
     def test_single_generation_run(self):
         result = run(small_problem(), RunConfig(algorithm="samtpso-s1", pop_per_task=10, seed=1, max_gens=1))
@@ -292,8 +329,8 @@ class TestRunLoops:
         seen = []
 
         def observer(state):
-            for sp in state.subpops:
-                seen.append((sp.positions.min(), sp.positions.max()))
+            for t in range(2):
+                seen.append((state.positions[t].min(), state.positions[t].max()))
 
         run(small_problem(), RunConfig(algorithm="samtpso-s2", pop_per_task=10, seed=4, max_gens=40),
             observer=observer)
@@ -303,17 +340,17 @@ class TestRunLoops:
 
     def test_gbest_never_above_pbests(self):
         def observer(state):
-            for sp in state.subpops:
-                assert sp.gbest.fitness <= sp.pbest_fit.min() + 1e-15
+            for t in range(2):
+                assert state.gbest_fit[t] <= state.pbest_fit[t].min() + 1e-15
 
         run(small_problem(), RunConfig(algorithm="samtpso-s1", pop_per_task=10, seed=6, max_gens=30),
             observer=observer)
 
     def test_probabilities_on_simplex_every_generation(self):
         def observer(state):
-            for sp in state.subpops:
-                assert abs(sp.pool.p.sum() - 1.0) <= 1e-12
-                assert np.all(sp.pool.p > 0)
+            for t in range(2):
+                assert abs(state.probs[t].sum() - 1.0) <= 1e-12
+                assert np.all(state.probs[t] > 0)
 
         run(small_problem(), RunConfig(algorithm="samtpso-s1", pop_per_task=10, seed=8, max_gens=40, lp=5),
             observer=observer)
@@ -335,7 +372,7 @@ class TestRunLoops:
         snapshots = []
 
         def observer(state):
-            snapshots.append((state.generation, [sp.pool.p.copy() for sp in state.subpops]))
+            snapshots.append((state.generation, [state.probs[t].copy() for t in range(2)]))
 
         run(small_problem(), RunConfig(algorithm="samtpso-s1", pop_per_task=10, seed=5, max_gens=lp + 3, lp=lp),
             observer=observer)
