@@ -25,7 +25,7 @@ from .adaptation import (
     roulette_select,
     update_probabilities,
 )
-from .optimizer import RunResult, SwarmState, init_swarm, run
+from .optimizer import RunResult, SwarmState, init_swarm, run, run_batch
 from .metrics import FevTable, TransferStats, aggregate, format_cell, score, transfer_rates
 from .harness import ExperimentSpec, derive_seed, execute, parse_experiment, run_experiment
 
@@ -61,6 +61,7 @@ __all__ = [
     "parse_experiment",
     "roulette_select",
     "run",
+    "run_batch",
     "run_experiment",
     "score",
     "transfer_rates",

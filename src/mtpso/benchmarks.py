@@ -35,12 +35,18 @@ _WEIERSTRASS_BIAS = float(-np.sum(_WK_A))
 
 def _weierstrass_series(theta):
     # sum_k a^k cos(3^k theta) via the triple-angle recurrence; one cosine
-    # per element instead of kmax+1.
+    # per element instead of kmax+1. In place, in the operation order of
+    # c = (4.0 * c * c - 3.0) * c; total += a^k * c, so the bits are the same.
     c = np.cos(theta)
     total = c.copy()
+    t = np.empty_like(c)
     for k in range(1, _WEIERSTRASS_KMAX + 1):
-        c = (4.0 * c * c - 3.0) * c
-        total += _WK_A[k] * c
+        np.multiply(c, 4.0, out=t)
+        t *= c
+        t -= 3.0
+        c *= t
+        np.multiply(c, _WK_A[k], out=t)
+        total += t
     return total
 
 

@@ -38,9 +38,14 @@ def _progress_printer(quiet: bool):
     if quiet:
         return None
 
+    shown = 0
+
     def progress(done, total):
+        # cells complete a batch at a time, so report each step crossed
+        nonlocal shown
         step = max(1, total // 20)
-        if done == total or done % step == 0:
+        if done == total or done // step > shown // step:
+            shown = done
             print(f"  {done}/{total} runs complete", flush=True)
 
     return progress

@@ -15,6 +15,13 @@ import numpy as np
 
 ORTHOGONALITY_TOL = 1e-9
 
+# Multiply-adds per rotation product. OpenBLAS runs a product below 2^18 on
+# the calling thread; above it, it wakes its worker threads, which costs
+# more than it saves on the (rows, d) x (d, d) products of a stacked swarm
+# and thrashes when pool workers share the cores. Larger batches of rows
+# are rotated in blocks of this size; each row's product is the same.
+ROTATION_BLOCK = 2**18
+
 ALGORITHMS = ("samtpso-s1", "samtpso-s2", "pso")
 
 # Default acceleration coefficients (c1, c2, c3) per algorithm. The
@@ -119,7 +126,6 @@ class RunConfig:
     c3: float | None = None
     max_gens: int = 2000
     seed: int = 0
-    runs: int = 30
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -142,8 +148,6 @@ class RunConfig:
             raise ValueError("max_gens must be >= 1")
         if self.w_start < self.w_end:
             raise ValueError("w_start must be >= w_end")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -185,8 +189,15 @@ def evaluate_task(x_unified: np.ndarray, task: TaskDef) -> float | np.ndarray:
     """
     from . import benchmarks  # local import: benchmarks depends on core types
 
-    z = decode(x_unified, task)
-    y = (z - task.shift) @ task.rotation.T
+    z = decode(x_unified, task) - task.shift
+    rotation = task.rotation.T
+    block = max(1, ROTATION_BLOCK // (task.dim * task.dim))
+    if z.ndim != 2 or len(z) <= block:
+        y = z @ rotation
+    else:
+        y = np.empty_like(z)
+        for i in range(0, len(z), block):
+            np.matmul(z[i : i + block], rotation, out=y[i : i + block])
     return benchmarks.task_eval(task.base_fn, y) + task.optimum_value
 
 

@@ -8,8 +8,10 @@ execution give identical results.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import benchmarks
 from .core import ALGORITHMS, MtoProblem, RunConfig
-from .optimizer import run
+from .optimizer import RunResult, batch_key, run, run_batch
 
 RESULTS_HEADER = ["experiment", "algorithm", "problem", "task", "run", "seed", "final_fev"]
 CONVERGENCE_HEADER = ["algorithm", "problem", "run", "generation", "task", "best_fev"]
@@ -27,6 +29,9 @@ TRANSFER_HEADER = ["algorithm", "problem", "run", "generation", "task", "source"
 SCORES_HEADER = ["problem", "algorithm", "score"]
 
 DEFAULT_MASTER_SEED = 986019042187420
+# Cells per batch: beyond this the stacked arrays outgrow the caches and
+# the per-cell gain shrinks (measured in CHANGES.md).
+BATCH_CELLS = 8
 SWEEP_GRIDS = {
     "bp": (0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1),
     "lp": (1, 2, 5, 10, 20, 50, 100),
@@ -117,7 +122,7 @@ def parse_experiment(cfg: dict, name_default: str = "experiment") -> ExperimentS
         "output_dir",
         "write_convergence",
         "write_transfer",
-        "jobs",
+        "jobs",  # written by older manifests; the worker count is --jobs
         *_RUNCONFIG_FIELDS,
     }
     for key in cfg:
@@ -159,7 +164,7 @@ def parse_experiment(cfg: dict, name_default: str = "experiment") -> ExperimentS
                 raise ConfigError(f"algorithms[{i}]: unknown field {key!r}")
             params[key] = _check_number(key, value, integer=key in _INT_FIELDS)
         try:
-            config = RunConfig(algorithm=algo, runs=runs, **params)
+            config = RunConfig(algorithm=algo, **params)
         except ValueError as exc:
             raise ConfigError(f"algorithms[{i}]: {exc}") from exc
         algorithms.append((label, config))
@@ -230,9 +235,8 @@ def derive_seed(master_seed: int, algorithm: str, problem_id: int, run_index: in
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "little")
 
 
-def _run_cell(args) -> CellResult:
-    label, config, problem, problem_id, run_index, keep_trace, keep_counts = args
-    result = run(problem, config)
+def _cell_result(cell, result: RunResult) -> CellResult:
+    label, config, problem, problem_id, run_index, keep_trace, keep_counts = cell
     return CellResult(
         algorithm=label,
         problem_id=problem_id,
@@ -246,6 +250,36 @@ def _run_cell(args) -> CellResult:
     )
 
 
+def _run_cell(cell) -> CellResult:
+    """One cell, run on its own."""
+    return _cell_result(cell, run(cell[2], cell[1]))
+
+
+def _run_batch(batch: list) -> list[CellResult]:
+    """One pool task: the cells of a batch, stepped as one stacked swarm.
+    A batch of one goes through :func:`_run_cell`, the per-cell entry
+    point that the benchmark's tracer wraps."""
+    if len(batch) == 1:
+        return [_run_cell(batch[0])]
+    results = run_batch(batch[0][2], [cell[1] for cell in batch])
+    return [_cell_result(cell, result) for cell, result in zip(batch, results)]
+
+
+def _batches(cells: list, jobs: int) -> list[list[int]]:
+    """Indices of the grid's cells, grouped into batches: cells on one
+    problem whose configs differ only in seed, lp and bp, at most
+    BATCH_CELLS to a batch, and a group of at least ``jobs`` cells split
+    into at least ``jobs`` batches so that every worker gets one."""
+    groups: dict = {}
+    for i, (_, config, _, pid, *_) in enumerate(cells):
+        groups.setdefault((pid, batch_key(config)), []).append(i)
+    batches = []
+    for members in groups.values():
+        count = max(-(-len(members) // BATCH_CELLS), min(jobs, len(members)))
+        batches += [list(part) for part in np.array_split(members, count)]
+    return batches
+
+
 def execute(
     spec: ExperimentSpec,
     jobs: int = 1,
@@ -255,8 +289,8 @@ def execute(
     problems: list[tuple[int, MtoProblem]] | None = None,
 ) -> list[CellResult]:
     """Run the whole grid; cells come back ordered by (algorithm, problem,
-    run) regardless of worker count. ``problems`` is the spec's resolved
-    problem list, loaded here when not given."""
+    run) regardless of worker count or batching. ``problems`` is the spec's
+    resolved problem list, loaded here when not given."""
     if keep_traces is None:
         keep_traces = spec.write_convergence
     if keep_counts is None:
@@ -271,18 +305,22 @@ def execute(
                 cell_config = replace(config, seed=seed)
                 cells.append((label, cell_config, problem, pid, run_index, keep_traces, keep_counts))
 
-    results: list[CellResult] = []
-    if jobs <= 1:
-        for cell in cells:
-            results.append(_run_cell(cell))
+    batches = _batches(cells, jobs)
+    tasks = [[cells[i] for i in batch] for batch in batches]
+    results: list = [None] * len(cells)
+    done = 0
+    with contextlib.ExitStack() as stack:
+        if jobs <= 1:
+            outputs = map(_run_batch, tasks)
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            outputs = pool.map(_run_batch, tasks, chunksize=1)
+        for batch, out in zip(batches, outputs):
+            for i, cell_result in zip(batch, out):
+                results[i] = cell_result
+            done += len(batch)
             if progress is not None:
-                progress(len(results), len(cells))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for res in pool.map(_run_cell, cells, chunksize=1):
-                results.append(res)
-                if progress is not None:
-                    progress(len(results), len(cells))
+                progress(done, len(cells))
     return results
 
 
@@ -337,30 +375,26 @@ def write_convergence_csv(path, cells: list[CellResult]) -> None:
 
 def write_transfer_csv(path, cells: list[CellResult]) -> None:
     with open(path, "w", newline="") as fh:
-        out = _writer(fh)
-        out.writerow(TRANSFER_HEADER)
+        _writer(fh).writerow(TRANSFER_HEADER)
         for cell in cells:
             if cell.source_counts is None:
                 continue
+            # a fraction is count / pop_per_task: N + 1 strings, each
+            # formatted once; the label goes through the csv writer so that
+            # it is quoted as it would be in a row of its own
+            n = cell.pop_per_task
+            fractions = [repr(i / n) for i in range(n + 1)]
+            label = io.StringIO()
+            _writer(label).writerow([cell.algorithm, cell.problem_id, cell.run_index, ""])
+            prefix = label.getvalue()[:-1]
             k = cell.num_tasks
-            for g in range(cell.source_counts.shape[0]):
-                for task in range(k):
-                    for source in range(k):
-                        frac = cell.source_counts[g, task, source] / cell.pop_per_task
-                        out.writerow(
-                            [
-                                cell.algorithm,
-                                cell.problem_id,
-                                cell.run_index,
-                                g + 2,
-                                task + 1,
-                                source + 1,
-                                repr(float(frac)),
-                            ]
-                        )
+            pairs = [f"{task + 1},{source + 1}," for task in range(k) for source in range(k)]
+            for g, row in enumerate(cell.source_counts.reshape(-1, k * k), start=2):
+                lines = (f"{prefix}{g},{pair}{fractions[c]}\n" for pair, c in zip(pairs, row.tolist()))
+                fh.write("".join(lines))
 
 
-def spec_to_manifest(spec: ExperimentSpec, jobs: int | None = None) -> dict:
+def spec_to_manifest(spec: ExperimentSpec) -> dict:
     """Fully resolved configuration; itself a valid config file."""
     manifest = {
         "name": spec.name,
@@ -381,14 +415,12 @@ def spec_to_manifest(spec: ExperimentSpec, jobs: int | None = None) -> dict:
             for label, config in spec.algorithms
         ],
     }
-    if jobs is not None:
-        manifest["jobs"] = jobs
     return manifest
 
 
-def write_manifest(path, spec: ExperimentSpec, jobs: int | None = None) -> None:
+def write_manifest(path, spec: ExperimentSpec) -> None:
     with open(path, "w") as fh:
-        json.dump(spec_to_manifest(spec, jobs), fh, indent=2, sort_keys=True)
+        json.dump(spec_to_manifest(spec), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -413,7 +445,7 @@ def run_experiment(
         write_convergence_csv(out_dir / "convergence.csv", cells)
     if spec.write_transfer:
         write_transfer_csv(out_dir / "transfer.csv", cells)
-    write_manifest(out_dir / "manifest.json", spec, jobs)
+    write_manifest(out_dir / "manifest.json", spec)
     return out_dir
 
 

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -88,6 +89,24 @@ class TestMemoryWindow:
         with pytest.raises(EmptyWindowError):
             MemoryWindow(3, 2).evict_oldest()
 
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_per_row_lengths_match_naive_oracle(self, lps, seed):
+        rng = np.random.default_rng(seed)
+        rows, k = len(lps), 3
+        mem = MemoryWindow(np.array(lps), k, rows=rows)
+        naive = []
+        for gen in range(15):
+            ns_col, nf_col = rng.integers(0, 5, (2, rows, k))
+            mem.record_counts(ns_col, nf_col)
+            mem.commit_generation()
+            naive.append((ns_col, nf_col))
+            for r, lp in enumerate(lps):
+                kept = naive[-lp:]
+                assert mem.filled[r] == min(gen + 1, lp)
+                assert np.array_equal(mem.success_sums()[r], np.sum([c[0][r] for c in kept], axis=0))
+                assert np.array_equal(mem.failure_sums()[r], np.sum([c[1][r] for c in kept], axis=0))
+
     def test_record_out_of_range(self):
         mem = MemoryWindow(3, 2)
         with pytest.raises(IndexError):
@@ -156,6 +175,33 @@ class TestUpdateProbabilities:
         p = update_probabilities(window_with_sums(ns, nf), bp=bp, eps=0.001)
         assert abs(p.sum() - 1.0) <= 1e-12
         assert np.all(p > 0)
+
+    def test_bp_zero_row_without_success_is_one_hot_on_own_task(self):
+        # rows 0 and 2 have no success in the window: with bp = 0 every rate
+        # is 0, which used to give a 0/0 NaN row and a RuntimeWarning
+        mem = MemoryWindow(3, 3, rows=3)
+        mem.record_counts([[0, 0, 0], [2, 0, 1], [0, 0, 0]], [[4, 4, 2], [1, 3, 4], [0, 0, 0]])
+        mem.commit_generation()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            p = update_probabilities(mem, bp=0.0, eps=0.001)
+        assert np.all(np.isfinite(p))
+        assert np.allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        assert np.array_equal(p[0], [1.0, 0.0, 0.0])
+        assert np.array_equal(p[2], [0.0, 0.0, 1.0])
+        # a stack of two cells: row t·2 + c belongs to task t
+        stacked = MemoryWindow(3, 2, rows=4)
+        stacked.record_counts(np.zeros((4, 2)), np.ones((4, 2)))
+        stacked.commit_generation()
+        assert np.array_equal(update_probabilities(stacked, 0.0, 0.001), [[1, 0], [1, 0], [0, 1], [0, 1]])
+
+    def test_per_row_floor(self):
+        mem = MemoryWindow(3, 2, rows=2)
+        mem.record_counts([[3, 1], [3, 1]], [[1, 3], [1, 3]])
+        mem.commit_generation()
+        p = update_probabilities(mem, np.array([0.001, 0.1]), 0.001)
+        assert np.array_equal(p[0], update_probabilities(window_with_sums([3, 1], [1, 3]), 0.001, 0.001))
+        assert np.array_equal(p[1], update_probabilities(window_with_sums([3, 1], [1, 3]), 0.1, 0.001))
 
     def test_more_successes_raise_probability(self):
         base = update_probabilities(window_with_sums([2, 2], [5, 5]), 0.001, 0.001)
@@ -269,14 +315,15 @@ class TestStackedRows:
             history.append((ns, nf))
         focus = focus_flags(mem)
         kept = history[-lp:]
-        with np.errstate(invalid="ignore"):  # bp = 0 and no outcome at all: 0 / 0
-            got = update_probabilities(mem, bp, 0.001)
-            for t in range(k):
-                ns = np.sum([c[0][t] for c in kept], axis=0).astype(float)
-                nf = np.sum([c[1][t] for c in kept], axis=0).astype(float)
-                sr = ns / (ns + nf + 0.001) + bp
-                assert np.array_equal(got[t], sr / sr.sum(), equal_nan=True)
-                assert focus[t] == (ns.sum() == 0)
+        got = update_probabilities(mem, bp, 0.001)
+        for t in range(k):
+            ns = np.sum([c[0][t] for c in kept], axis=0).astype(float)
+            nf = np.sum([c[1][t] for c in kept], axis=0).astype(float)
+            sr = ns / (ns + nf + 0.001) + bp
+            # bp = 0 and no success: every rate is 0, and the row is one-hot on its task
+            expected = sr / sr.sum() if sr.sum() > 0 else np.eye(k)[t]
+            assert np.array_equal(got[t], expected)
+            assert focus[t] == (ns.sum() == 0)
 
     @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)

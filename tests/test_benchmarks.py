@@ -41,6 +41,21 @@ class TestBaseFunctions:
     def test_weierstrass_minimum_exact(self):
         assert base_eval("weierstrass", np.zeros(10)) == 0.0
 
+    def test_weierstrass_series_in_place_matches_expression(self):
+        # the in-place recurrence keeps the bits of the expression form
+        def expression(theta):
+            c = np.cos(theta)
+            total = c.copy()
+            for k in range(1, benchmarks._WEIERSTRASS_KMAX + 1):
+                c = (4.0 * c * c - 3.0) * c
+                total += benchmarks._WK_A[k] * c
+            return total
+
+        rng = np.random.default_rng(2718)
+        for shape in ((50, 50), (50, 25), (50, 5), (250, 50), (7,)):
+            theta = 2.0 * np.pi * (rng.uniform(-0.5, 0.5, shape) + 0.5)
+            assert np.array_equal(benchmarks._weierstrass_series(theta), expression(theta))
+
     def test_weierstrass_matches_direct_series(self):
         # independent oracle: the literal truncated double sum
         def direct(y):

@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from mtpso import cli, harness, metrics
 from mtpso.benchmarks import GeneratedSeeded, build_suite, make_task, problem_to_dict
 from mtpso.core import MtoProblem
+from mtpso.optimizer import run
 from mtpso.harness import (
     ConfigError,
     derive_seed,
@@ -181,6 +184,89 @@ class TestExecute:
                 assert cell.source_counts is None
             else:
                 assert cell.source_counts.shape == (11, 2, 2)
+
+
+class TestBatches:
+    """Cells on one problem whose configs differ only in seed, lp and bp
+    share a batch; neither batching nor ``jobs`` changes an artifact."""
+
+    def lp_sweep_config(self, tiny_problems, out_dir, **extra):
+        cfg = tiny_config(tiny_problems, out_dir, max_gens=15, **extra)
+        cfg["algorithms"] = [
+            {"algorithm": "samtpso-s1", "label": f"s1@lp={lp}", "lp": lp} for lp in (2, 5, 10)
+        ] + [{"algorithm": "samtpso-s2", "label": "s2@bp=0", "bp": 0.0}, {"algorithm": "samtpso-s2"}]
+        return cfg
+
+    def test_grouping_and_split(self, tiny_problems, tmp_path):
+        spec = parse_experiment(self.lp_sweep_config(tiny_problems, tmp_path / "out"))
+        problems = resolve_problems(spec)
+        cells = [
+            (label, config, problem, pid, 1, False, False)
+            for label, config in spec.algorithms
+            for pid, problem in problems
+            for _ in range(spec.runs)
+        ]
+        sizes = lambda jobs: sorted(len(b) for b in harness._batches(cells, jobs))  # noqa: E731
+        # per problem: the three S1 lp values x 2 runs, and S2 at two bp x 2 runs
+        assert sizes(1) == [4, 4, 6, 6]
+        assert sizes(2) == [2, 2, 2, 2, 3, 3, 3, 3]
+        assert sizes(5) == [1] * 16 + [2] * 2  # a group of n < jobs cells: n batches
+        many = cells[:1] * (2 * harness.BATCH_CELLS + 1)
+        split = [len(b) for b in harness._batches(many, 1)]
+        assert len(split) == 3 and sum(split) == len(many) and max(split) - min(split) <= 1
+        assert sorted(i for b in harness._batches(cells, 2) for i in b) == list(range(len(cells)))
+
+    def test_lp_sweep_artifacts_same_at_one_and_two_jobs(self, tiny_problems, tmp_path):
+        outs = []
+        for jobs in (1, 2):
+            spec = parse_experiment(self.lp_sweep_config(tiny_problems, tmp_path / f"jobs{jobs}"))
+            outs.append(run_experiment(spec, jobs=jobs))
+        for name in ("results.csv", "convergence.csv", "transfer.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_batched_cells_equal_cells_run_alone(self, tiny_problems, tmp_path):
+        spec = parse_experiment(self.lp_sweep_config(tiny_problems, tmp_path / "out"))
+        problems = dict(resolve_problems(spec))
+        configs = dict(spec.algorithms)
+        for cell in execute(spec, jobs=1, keep_traces=True, keep_counts=True):
+            seed = derive_seed(spec.master_seed, cell.algorithm, cell.problem_id, cell.run_index)
+            alone = run(problems[cell.problem_id], replace(configs[cell.algorithm], seed=seed))
+            assert np.array_equal(cell.trace, alone.fev_trace)
+            assert np.array_equal(cell.source_counts, alone.source_counts)
+
+
+class TestJobsKey:
+    def test_jobs_key_is_accepted_and_ignored(self, tiny_problems, tmp_path):
+        """Older manifests record the worker count; they still parse, and a
+        manifest no longer writes it (the count is ``--jobs``)."""
+        cfg = tiny_config(tiny_problems, tmp_path / "out")
+        assert parse_experiment({**cfg, "jobs": 3}) == parse_experiment(cfg)
+        out = run_experiment(parse_experiment(cfg), jobs=2)
+        assert "jobs" not in json.loads((out / "manifest.json").read_text())
+
+
+class TestTransferCsv:
+    def test_rows_match_csv_writer(self, tmp_path):
+        # labels that need quoting keep the csv writer's quoting
+        rng = np.random.default_rng(4)
+        cells = [
+            harness.CellResult(label, 3, 2, 0, 3, 7, np.zeros(3), None, rng.integers(0, 8, (4, 3, 3)))
+            for label in ("plain", "a,b", 'say "hi"', "")
+        ]
+        path = tmp_path / "transfer.csv"
+        harness.write_transfer_csv(path, cells)
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(harness.TRANSFER_HEADER)
+            for cell in cells:
+                for g in range(4):
+                    for task in range(3):
+                        for source in range(3):
+                            frac = cell.source_counts[g, task, source] / cell.pop_per_task
+                            row = [cell.algorithm, 3, 2, g + 2, task + 1, source + 1, repr(float(frac))]
+                            out.writerow(row)
+        assert path.read_bytes() == expected.read_bytes()
 
 
 class TestRunExperiment:

@@ -1,15 +1,21 @@
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mtpso import adaptation, benchmarks
 from mtpso.benchmarks import make_task
-from mtpso.core import MtoProblem, RunConfig, evaluate_task
+from mtpso.core import ALGORITHMS, MtoProblem, RunConfig, evaluate_task
 from mtpso.optimizer import (
+    NonFiniteFitnessError,
     evaluate_and_update,
     inertia_weight,
     init_swarm,
     run,
+    run_batch,
     run_generation,
     step_position,
     velocity_s1,
@@ -213,7 +219,7 @@ class TestInitSwarm:
             assert not state.focus[t]
             assert np.all(state.velocities[t] == 0.0)
             assert np.array_equal(state.pbest_pos[t], state.positions[t])
-        assert state.mem.filled == 0
+        assert not state.mem.filled.any()
         assert state.generation == 1
 
     def test_deterministic(self):
@@ -295,7 +301,7 @@ class TestRunLoops:
         for _ in range(10):
             counts = run_generation(state)
         assert counts is None
-        assert state.mem.filled == 0
+        assert not state.mem.filled.any()
         for t in range(2):
             assert np.allclose(state.probs[t], 0.5)  # untouched
 
@@ -380,3 +386,81 @@ class TestRunLoops:
             if g <= lp:
                 for p in pools:
                     assert np.allclose(p, 0.5)
+
+
+class TestBatch:
+    """A batch of cells that differ only in seed, lp and bp equals each
+    cell run on its own, bit for bit."""
+
+    FUNCTIONS = ("sphere", "rosenbrock", "ackley", "rastrigin", "griewank", "weierstrass", "schwefel")
+
+    @given(
+        st.lists(st.tuples(st.sampled_from(FUNCTIONS), st.integers(2, 7)), min_size=1, max_size=6),
+        st.lists(
+            st.tuples(st.integers(0, 2**64 - 1), st.integers(1, 6), st.sampled_from([0.0, 0.001, 0.1])),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from(ALGORITHMS),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batch_equals_cells_alone(self, tasks, cells, algorithm, task_seed):
+        defs = tuple(make_task(fn, d, task_seed + i) for i, (fn, d) in enumerate(tasks))
+        problem = defs[0] if len(defs) == 1 else MtoProblem(tasks=defs)
+        base = RunConfig(algorithm=algorithm, pop_per_task=6, max_gens=14)
+        configs = [replace(base, seed=seed, lp=lp, bp=bp) for seed, lp, bp in cells]
+        for config, got in zip(configs, run_batch(problem, configs)):
+            alone = run(problem, config)
+            assert got.seed == config.seed
+            assert np.array_equal(got.fev_trace, alone.fev_trace)
+            assert np.array_equal(got.best_positions, alone.best_positions)
+            if algorithm == "pso":
+                assert got.source_counts is None and alone.source_counts is None
+            else:
+                assert np.array_equal(got.source_counts, alone.source_counts)
+
+    def test_configs_must_differ_only_in_seed_lp_bp(self):
+        base = RunConfig(pop_per_task=4, max_gens=3)
+        with pytest.raises(ValueError, match="seed, lp and bp"):
+            init_swarm(small_problem(), [base, replace(base, c1=1.0)])
+        with pytest.raises(ValueError, match="seed, lp and bp"):
+            init_swarm(small_problem(), [])
+
+    def test_rows_are_task_major(self):
+        base = RunConfig(pop_per_task=4, max_gens=3)
+        configs = [replace(base, seed=s) for s in (1, 2, 3)]
+        state = init_swarm(small_problem(), configs)
+        assert state.positions.shape == (6, 4, 5)
+        assert adaptation.row_tasks(6, 2).tolist() == [0, 0, 0, 1, 1, 1]
+        assert state.last_source[:, 0].tolist() == [0, 0, 0, 1, 1, 1]
+        for c, config in enumerate(configs):
+            alone = init_swarm(small_problem(), config)
+            assert np.array_equal(state.positions[c::3], alone.positions)
+            assert np.array_equal(state.pbest_fit[c::3], alone.pbest_fit)
+
+
+class TestNonFiniteFitness:
+    @staticmethod
+    def register(name, bad_from_call):
+        calls = []
+
+        def fn(y):
+            calls.append(1)
+            out = np.sum(np.asarray(y, dtype=float) ** 2, axis=-1)
+            return out * np.nan if len(calls) >= bad_from_call else out
+
+        benchmarks.register_base(name, fn, -1, 1)
+
+    @pytest.mark.parametrize("bad_from_call, name", [(1, "nan-at-init"), (3, "nan-later")])
+    def test_raises_naming_task_and_function(self, bad_from_call, name):
+        self.register(name, bad_from_call)
+        problem = MtoProblem(tasks=(make_task("sphere", 3, 1), make_task(name, 3, 2)))
+        with pytest.raises(NonFiniteFitnessError, match=f"task index 1 \\(base function '{name}'\\)"):
+            run(problem, RunConfig(pop_per_task=5, max_gens=10))
+
+    def test_infinity_raises(self):
+        benchmarks.register_base("inf-everywhere", lambda y: np.full(np.shape(y)[:-1], np.inf), -1, 1)
+        problem = MtoProblem(tasks=(make_task("inf-everywhere", 2, 1), make_task("sphere", 2, 2)))
+        with pytest.raises(NonFiniteFitnessError, match="task index 0"):
+            run(problem, RunConfig(algorithm="pso", pop_per_task=5, max_gens=4))
