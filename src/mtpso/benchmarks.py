@@ -33,20 +33,25 @@ _WK_A = _WEIERSTRASS_A ** np.arange(_WEIERSTRASS_KMAX + 1)
 _WEIERSTRASS_BIAS = float(-np.sum(_WK_A))
 
 
+# 4a / a^(2(k-1)) for k = 1..kmax: the recurrence's d^2 coefficient.
+_WK_SQUARE = 4.0 * _WEIERSTRASS_A / _WK_A[:-1] ** 2
+
+
 def _weierstrass_series(theta):
     # sum_k a^k cos(3^k theta) via the triple-angle recurrence; one cosine
-    # per element instead of kmax+1. In place, in the operation order of
-    # c = (4.0 * c * c - 3.0) * c; total += a^k * c, so the bits are the same.
-    c = np.cos(theta)
-    total = c.copy()
-    t = np.empty_like(c)
+    # per element instead of kmax+1. It iterates d = a^k c_k, c_k =
+    # cos(3^k theta): d <- d (4a d^2 / a^(2(k-1)) - 3a), in place. With
+    # a = 1/2 each factor of a is a power of two, so every product is the
+    # bits of c <- (4 c c - 3) c scaled exactly; total += d adds a^k c_k.
+    d = np.cos(theta)
+    total = d.copy()
+    t = np.empty_like(d)
     for k in range(1, _WEIERSTRASS_KMAX + 1):
-        np.multiply(c, 4.0, out=t)
-        t *= c
-        t -= 3.0
-        c *= t
-        np.multiply(c, _WK_A[k], out=t)
-        total += t
+        np.multiply(d, d, out=t)
+        t *= _WK_SQUARE[k - 1]
+        t -= 3.0 * _WEIERSTRASS_A
+        d *= t
+        total += d
     return total
 
 

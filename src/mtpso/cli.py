@@ -1,6 +1,7 @@
 """Command-line experiment runner.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 a worker
+process died (the error names the cells that never returned).
 """
 
 from __future__ import annotations
@@ -188,6 +189,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
+    except harness.WorkerCrashError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -180,25 +180,37 @@ def encode(z_native: np.ndarray, task: TaskDef, unified_dim: int | None = None) 
     return np.concatenate([u, np.full(pad_shape, 0.5)], axis=-1)
 
 
+def task_frame(x_unified: np.ndarray, task: TaskDef, out: np.ndarray | None = None) -> np.ndarray:
+    """Task-frame coordinates of a unified point or of rows of them: the
+    decoded native point minus the task's shift, rotated.
+
+    Row sets of more than ROTATION_BLOCK multiply-adds are rotated in
+    blocks; each row's product is the same. ``out``, when given, receives
+    the (rows, d) result.
+    """
+    z = decode(x_unified, task) - task.shift
+    rotation = task.rotation.T
+    if z.ndim != 2:
+        return z @ rotation
+    if out is None:
+        out = np.empty_like(z)
+    block = max(1, ROTATION_BLOCK // (task.dim * task.dim))
+    for i in range(0, len(z), block):
+        np.matmul(z[i : i + block], rotation, out=out[i : i + block])
+    return out
+
+
 def evaluate_task(x_unified: np.ndarray, task: TaskDef) -> float | np.ndarray:
     """Objective value of a unified-space point (or batch of rows) on a task.
 
-    The native point is rotated around the task's shift and fed to the base
-    function, re-centered so the global optimum sits at the shift, where the
-    objective equals ``task.optimum_value``.
+    The native point is rotated around the task's shift
+    (:func:`task_frame`) and fed to the base function, re-centered so the
+    global optimum sits at the shift, where the objective equals
+    ``task.optimum_value``.
     """
     from . import benchmarks  # local import: benchmarks depends on core types
 
-    z = decode(x_unified, task) - task.shift
-    rotation = task.rotation.T
-    block = max(1, ROTATION_BLOCK // (task.dim * task.dim))
-    if z.ndim != 2 or len(z) <= block:
-        y = z @ rotation
-    else:
-        y = np.empty_like(z)
-        for i in range(0, len(z), block):
-            np.matmul(z[i : i + block], rotation, out=y[i : i + block])
-    return benchmarks.task_eval(task.base_fn, y) + task.optimum_value
+    return benchmarks.task_eval(task.base_fn, task_frame(x_unified, task)) + task.optimum_value
 
 
 def fev(fitness: float | np.ndarray, task: TaskDef) -> float | np.ndarray:

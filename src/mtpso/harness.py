@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -29,9 +30,11 @@ TRANSFER_HEADER = ["algorithm", "problem", "run", "generation", "task", "source"
 SCORES_HEADER = ["problem", "algorithm", "score"]
 
 DEFAULT_MASTER_SEED = 986019042187420
-# Cells per batch: beyond this the stacked arrays outgrow the caches and
-# the per-cell gain shrinks (measured in CHANGES.md).
-BATCH_CELLS = 8
+# Elements (K x C x N x D_u) of a batch's stacked positions, for C cells:
+# beyond this the stacked arrays outgrow the caches and the per-cell gain
+# shrinks (measured in CHANGES.md). 20,000 is four suite-1 cells of 2
+# tasks x 50 particles x 50 dimensions.
+BATCH_ELEMENTS = 20_000
 SWEEP_GRIDS = {
     "bp": (0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1),
     "lp": (1, 2, 5, 10, 20, 50, 100),
@@ -40,6 +43,10 @@ SWEEP_GRIDS = {
 
 class ConfigError(ValueError):
     """An experiment configuration failed to validate."""
+
+
+class WorkerCrashError(RuntimeError):
+    """A pool worker process died before its cells returned."""
 
 
 @dataclass(frozen=True)
@@ -261,23 +268,51 @@ def _run_batch(batch: list) -> list[CellResult]:
     point that the benchmark's tracer wraps."""
     if len(batch) == 1:
         return [_run_cell(batch[0])]
-    results = run_batch(batch[0][2], [cell[1] for cell in batch])
+    results = run_batch([cell[2] for cell in batch], [cell[1] for cell in batch])
     return [_cell_result(cell, result) for cell, result in zip(batch, results)]
 
 
 def _batches(cells: list, jobs: int) -> list[list[int]]:
-    """Indices of the grid's cells, grouped into batches: cells on one
-    problem whose configs differ only in seed, lp and bp, at most
-    BATCH_CELLS to a batch, and a group of at least ``jobs`` cells split
-    into at least ``jobs`` batches so that every worker gets one."""
+    """Indices of the grid's cells, grouped into batches of one swarm
+    shape: cells with equal task count K and unified dimension D_u whose
+    configs differ only in seed, lp, bp and PSO against S2 (so equal N).
+    A group is sorted by problem id, keeping grid order within a problem,
+    so that a problem's cells stay adjacent; it is split into batches of at
+    most BATCH_ELEMENTS stacked elements, and a group of at least ``jobs``
+    cells into at least ``jobs`` batches so that every worker gets one."""
     groups: dict = {}
-    for i, (_, config, _, pid, *_) in enumerate(cells):
-        groups.setdefault((pid, batch_key(config)), []).append(i)
+    for i, (_, config, problem, *_) in enumerate(cells):
+        key = (problem.num_tasks, problem.unified_dim, batch_key(config))
+        groups.setdefault(key, []).append(i)
     batches = []
-    for members in groups.values():
-        count = max(-(-len(members) // BATCH_CELLS), min(jobs, len(members)))
+    for (k, d_u, config), members in groups.items():
+        members.sort(key=lambda i: cells[i][3])
+        per_batch = max(1, BATCH_ELEMENTS // (k * config.pop_per_task * d_u))
+        count = max(-(-len(members) // per_batch), min(jobs, len(members)))
         batches += [list(part) for part in np.array_split(members, count)]
     return batches
+
+
+def _pool_outputs(futures: list, batches: list[list[int]], cells: list):
+    """The results of the pool's batches in order. If a worker process
+    dies, raise WorkerCrashError naming the (algorithm, problem, run) cells
+    of every batch that never returned."""
+    try:
+        for future in futures:
+            yield future.result()
+    except BrokenProcessPool as exc:
+        names = ", ".join(
+            f"({label}, {pid}, {run_index})"
+            for batch, future in zip(batches, futures)
+            if future.exception() is not None
+            for label, _, _, pid, run_index, *_ in (cells[i] for i in batch)
+        )
+        raise WorkerCrashError(
+            f"a worker process died; cells that never returned (algorithm, problem, run): {names}"
+        ) from exc
+    finally:
+        for future in futures:
+            future.cancel()
 
 
 def execute(
@@ -314,7 +349,8 @@ def execute(
             outputs = map(_run_batch, tasks)
         else:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-            outputs = pool.map(_run_batch, tasks, chunksize=1)
+            futures = [pool.submit(_run_batch, task) for task in tasks]
+            outputs = _pool_outputs(futures, batches, cells)
         for batch, out in zip(batches, outputs):
             for i, cell_result in zip(batch, out):
                 results[i] = cell_result

@@ -14,9 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import adaptation
+from . import adaptation, benchmarks
 from .adaptation import MemoryWindow
-from .core import MtoProblem, RunConfig, TaskDef, evaluate_task
+from .core import MtoProblem, RunConfig, TaskDef, task_frame
 
 
 class NonFiniteFitnessError(FloatingPointError):
@@ -35,6 +35,10 @@ class _SingleTask:
         return 1
 
 
+# One problem for every cell of a batch, or a sequence of one per cell.
+Problems = MtoProblem | TaskDef | Sequence[MtoProblem | TaskDef]
+
+
 def _as_problem(problem: MtoProblem | TaskDef):
     if isinstance(problem, TaskDef):
         return _SingleTask(tasks=(problem,), unified_dim=problem.dim)
@@ -45,23 +49,26 @@ def _as_problem(problem: MtoProblem | TaskDef):
 class SwarmState:
     """The K subpopulations of each of C cells, stacked task-major.
 
-    A batch is a set of runs (cells) on one problem whose configs differ
-    only in ``seed``, ``lp`` and ``bp`` (:func:`batch_key`). Row t·C + c
-    belongs to cell c's task t, so a task's C·N particles are one
-    contiguous block; with C = 1, row t is task t.
+    A batch is a set of runs (cells) of one swarm shape, equal K, N and
+    D_u, whose configs differ only in ``seed``, ``lp``, ``bp`` and PSO
+    against S2 (:func:`batch_key`); each cell has its own problem. Row
+    t·C + c belongs to cell c's task t, so a task index's C·N particles are
+    one contiguous block; with C = 1, row t is task t.
 
     Positions, velocities and pbest positions have shape (K·C, N, D_u);
     pbest fitness and each particle's last chosen source task (K·C, N); the
     swarm bests (K·C, D_u) and (K·C,). A row's source probabilities are its
     row of ``probs`` (K·C, K) and its focus flag ``focus[row]``; ``mem`` is
     the (K·C, K) success/failure window with each row's cell's lp, and
-    ``bp`` (K·C,) each row's floor. Each row draws from its own
-    ``select_rngs[row]`` and ``vel_rngs[row]`` streams, cell c's task-t
-    streams, into ``picks[row]`` and ``draws[row]``.
+    ``bp`` (K·C,) each row's floor. ``transfer[row]`` is False for the rows
+    of a no-transfer (PSO) cell, which stay in focus search. Each row draws
+    from its own ``select_rngs[row]`` and ``vel_rngs[row]`` streams, cell
+    c's task-t streams, into ``picks[row]`` and ``draws[row]``.
     """
 
-    problem: MtoProblem
+    problems: tuple[MtoProblem, ...]
     configs: tuple[RunConfig, ...]
+    config: RunConfig  # what every cell shares: batch_key(configs[0])
     positions: np.ndarray
     velocities: np.ndarray
     pbest_pos: np.ndarray
@@ -71,18 +78,16 @@ class SwarmState:
     gbest_fit: np.ndarray
     probs: np.ndarray
     focus: np.ndarray
+    transfer: np.ndarray
     mem: MemoryWindow
     bp: np.ndarray
     select_rngs: list[np.random.Generator]
     vel_rngs: list[np.random.Generator]
     picks: np.ndarray  # (K·C, N) roulette draws
     draws: np.ndarray  # (K·C, 2 or 3, N, D_u): r1, r2 (and r3 for S1)
+    term: np.ndarray  # (K·C, N, D_u) scratch for one velocity term
+    plan: list[_Group]
     generation: int = 1
-
-    @property
-    def config(self) -> RunConfig:
-        """The parameters every cell shares (all but seed, lp and bp)."""
-        return self.configs[0]
 
     @property
     def cells(self) -> int:
@@ -143,6 +148,22 @@ def velocity_s2(v, x, pbest, gbest_src, w, c1, c2, r1, r2):
 BOUNCE_DAMPING = 0.5
 
 
+def _bounce(x, v) -> bool:
+    """Reflect the entries of moved positions ``x`` that left [0, 1] off
+    the walls and reverse and damp ``v`` there, both in place; returns
+    whether any entry bounced. Only the leaving entries are folded back
+    (``np.mod`` is slow)."""
+    out = np.flatnonzero((x < 0.0) | (x > 1.0))
+    if out.size == 0:
+        return False
+    flat = x.reshape(-1)
+    folded = np.mod(flat[out], 2.0)
+    flat[out] = np.where(folded > 1.0, 2.0 - folded, folded)
+    flat_v = v.reshape(-1)
+    flat_v[out] = -BOUNCE_DAMPING * flat_v[out]
+    return True
+
+
 def step_position(x, v):
     """Move within [0, 1]: positions that would leave the box are reflected
     off the walls and their velocity is reversed and damped.
@@ -150,61 +171,103 @@ def step_position(x, v):
     Hard clamping (zeroed velocity at the wall) collapses the swarm long
     before the inertia schedule ends and stalls convergence by orders of
     magnitude; a damped bounce keeps the box invariant without the stall.
-    ``x`` and ``v`` are arrays of one shape; ``v`` itself is returned when
-    nothing bounces. Only the leaving entries are folded back (``np.mod``
-    is slow).
+    ``x`` and ``v`` are arrays of one shape; returns the new (x, v), with
+    ``v`` itself when nothing bounces. The swarm takes this step in place.
     """
-    moved = x + v
-    out = np.flatnonzero((moved < 0.0) | (moved > 1.0))
-    if out.size == 0:
-        return moved, v
-    flat = moved.reshape(-1)
-    folded = np.mod(flat[out], 2.0)
-    flat[out] = np.where(folded > 1.0, 2.0 - folded, folded)
-    velocity = v.copy()
-    flat_v = velocity.reshape(-1)
-    flat_v[out] = -BOUNCE_DAMPING * flat_v[out]
-    return moved, velocity
+    moved, velocity = x + v, v.copy()
+    return moved, velocity if _bounce(moved, velocity) else v
+
+
+# Algorithms that step by another's rule with transfer switched off: the
+# PSO baseline is S2 whose rows stay in focus search, so that they always
+# pick their own task and the source best is their own swarm best.
+NO_TRANSFER = {"pso": "samtpso-s2"}
 
 
 def batch_key(config: RunConfig) -> RunConfig:
-    """What the cells of one batch share: the config without seed, lp and bp."""
-    return replace(config, seed=0, lp=1, bp=0.0)
+    """What the cells of one batch share: the config without seed, lp and
+    bp, and with the rule it steps by in place of a no-transfer algorithm."""
+    algorithm = NO_TRANSFER.get(config.algorithm, config.algorithm)
+    return replace(config, algorithm=algorithm, seed=0, lp=1, bp=0.0)
 
 
-def _evaluate(problem, positions: np.ndarray, cells: int) -> np.ndarray:
-    """Fitness of the stacked positions, one call per task over its C·N
-    rows; a NaN or infinite value is an error."""
-    k = problem.num_tasks
+@dataclass
+class _Group:
+    """Segments of the stacked swarm on one base function and task
+    dimension, evaluated by one ``task_eval`` call over ``frame``."""
+
+    base_fn: str
+    frame: np.ndarray  # (particles, d) task-frame coordinates, reused
+    segments: list[tuple[slice, TaskDef, slice]]  # swarm particles, task, frame rows
+
+
+def _evaluation_plan(problems: tuple, n_s: int) -> list[_Group]:
+    """A segment is one task index over a run of adjacent cells on the same
+    problem: the particles of rows t·C + c0 to t·C + c1, in the flattened
+    (K·C·N, D_u) positions. Segments are grouped by (base function, task
+    dimension)."""
+    cells = len(problems)
+    starts = [c for c in range(cells) if c == 0 or problems[c] is not problems[c - 1]]
+    groups: dict = {}
+    for t in range(problems[0].num_tasks):
+        for c0, c1 in zip(starts, starts[1:] + [cells]):
+            task = problems[c0].tasks[t]
+            segments = groups.setdefault((task.base_fn, task.dim), [])
+            at = segments[-1][2].stop if segments else 0
+            particles = slice((t * cells + c0) * n_s, (t * cells + c1) * n_s)
+            segments.append((particles, task, slice(at, at + (c1 - c0) * n_s)))
+    return [_Group(fn, np.empty((segs[-1][2].stop, d)), segs) for (fn, d), segs in groups.items()]
+
+
+def _evaluate(plan: list[_Group], problems: tuple, positions: np.ndarray) -> np.ndarray:
+    """Fitness of the stacked positions, one ``task_eval`` call per group of
+    the plan; a NaN or infinite value is an error."""
     rows, n_s, d_u = positions.shape
-    by_task = positions.reshape(k, cells * n_s, d_u)
-    fit = np.empty((k, cells * n_s))
-    for t, task in enumerate(problem.tasks):
-        fit[t] = evaluate_task(by_task[t], task)
+    x = positions.reshape(-1, d_u)
+    fit = np.empty(rows * n_s)
+    for group in plan:
+        for particles, task, at in group.segments:
+            task_frame(x[particles], task, out=group.frame[at])
+        values = benchmarks.task_eval(group.base_fn, group.frame)
+        for particles, task, at in group.segments:
+            np.add(values[at], task.optimum_value, out=fit[particles])
     if not np.isfinite(fit).all():
-        t = int(np.flatnonzero(~np.isfinite(fit).all(axis=1))[0])
+        t, c = divmod(int(np.flatnonzero(~np.isfinite(fit))[0]) // n_s, len(problems))
         raise NonFiniteFitnessError(
-            f"task index {t} (base function {problem.tasks[t].base_fn!r}) gave a non-finite fitness"
+            f"task index {t} (base function {problems[c].tasks[t].base_fn!r}) gave a non-finite fitness"
         )
     return fit.reshape(rows, n_s)
 
 
-def init_swarm(problem: MtoProblem | TaskDef, configs: RunConfig | Sequence[RunConfig]) -> SwarmState:
+def _per_cell(problems: Problems, cells: int) -> tuple:
+    """One problem per cell: a sequence of one per cell, or one for all."""
+    if not isinstance(problems, (list, tuple)):
+        return (_as_problem(problems),) * cells
+    if len(problems) != cells:
+        raise ValueError(f"a batch of {cells} configs needs {cells} problems, got {len(problems)}")
+    return tuple(_as_problem(p) for p in problems)
+
+
+def init_swarm(problems: Problems, configs: RunConfig | Sequence[RunConfig]) -> SwarmState:
     """Uniform random positions, zero velocities, memories empty, uniform
     source probabilities; every subpopulation evaluated on its own task.
 
     ``configs`` is one run's config or a batch of configs that differ only
-    in seed, lp and bp. Each cell's task t seeds its streams from
-    ``SeedSequence(seed).spawn(K)[t]``, as a run of its own would. Accepts
-    a bare TaskDef for degenerate single-task (K=1) runs."""
-    problem = _as_problem(problem)
+    in seed, lp, bp and PSO against S2, and ``problems`` one problem for
+    every cell or a sequence of one per cell, all with the same K and D_u.
+    Each cell's task t seeds its streams from ``SeedSequence(seed).spawn(K)[t]``,
+    as a run of its own would. Accepts a bare TaskDef for degenerate
+    single-task (K=1) runs."""
     configs = (configs,) if isinstance(configs, RunConfig) else tuple(configs)
     if not configs or any(batch_key(c) != batch_key(configs[0]) for c in configs):
-        raise ValueError("the configs of a batch must differ only in seed, lp and bp")
-    k, cells = problem.num_tasks, len(configs)
+        raise ValueError("the configs of a batch must differ only in seed, lp and bp (and PSO against S2)")
+    problems = _per_cell(problems, len(configs))
+    k, d_u = problems[0].num_tasks, problems[0].unified_dim
+    if any(p.num_tasks != k or p.unified_dim != d_u for p in problems):
+        raise ValueError("the problems of a batch must have the same task count and unified dimension")
+    cells = len(configs)
     rows = k * cells
     n_s = configs[0].pop_per_task
-    d_u = problem.unified_dim
     positions = np.empty((rows, n_s, d_u))
     select_rngs: list = [None] * rows
     vel_rngs: list = [None] * rows
@@ -215,12 +278,16 @@ def init_swarm(problem: MtoProblem | TaskDef, configs: RunConfig | Sequence[RunC
             np.random.default_rng(init_ss).random(out=positions[row])
             select_rngs[row] = np.random.default_rng(select_ss)
             vel_rngs[row] = np.random.default_rng(vel_ss)
-    fit = _evaluate(problem, positions, cells)
+    plan = _evaluation_plan(problems, n_s)
+    fit = _evaluate(plan, problems, positions)
     best = np.argmin(fit, axis=1)
-    n_draws = 3 if configs[0].algorithm == "samtpso-s1" else 2
+    shared = batch_key(configs[0])
+    transfer = np.tile([c.algorithm not in NO_TRANSFER for c in configs], k)
+    n_draws = 3 if shared.algorithm == "samtpso-s1" else 2
     return SwarmState(
-        problem=problem,
+        problems=problems,
         configs=configs,
+        config=shared,
         positions=positions,
         velocities=np.zeros((rows, n_s, d_u)),
         pbest_pos=positions.copy(),
@@ -229,55 +296,71 @@ def init_swarm(problem: MtoProblem | TaskDef, configs: RunConfig | Sequence[RunC
         gbest_pos=positions[np.arange(rows), best],
         gbest_fit=fit[np.arange(rows), best],
         probs=np.full((rows, k), 1.0 / k),
-        focus=np.zeros(rows, dtype=bool),
+        focus=~transfer,
+        transfer=transfer,
         mem=MemoryWindow(np.tile([c.lp for c in configs], k), k, rows=rows),
         bp=np.tile([float(c.bp) for c in configs], k),
         select_rngs=select_rngs,
         vel_rngs=vel_rngs,
         picks=np.empty((rows, n_s)),
         draws=np.empty((rows, n_draws, n_s, d_u)),
+        term=np.empty((rows, n_s, d_u)),
+        plan=plan,
     )
+
+
+def _add_term(v, term, coeff, draw) -> None:
+    """v += (coeff * draw) * term, in place; ``draw`` and ``term`` are
+    overwritten."""
+    draw *= coeff
+    term *= draw
+    v += term
 
 
 def _move_swarm(state: SwarmState, w: float) -> None:
     """Choose every particle's source and take one velocity and bounce step
-    for all rows at once; only the random draws are made row by row."""
+    for all rows at once, in place; only the random draws are made row by
+    row.
+
+    The velocity is :func:`velocity_s1` or :func:`velocity_s2` summed term
+    by term into ``state.velocities``, each draw scaled in place by its
+    coefficient: the same operations in the same order, so the same bits.
+    """
     config = state.config
-    if config.algorithm != "pso":
-        for row in np.flatnonzero(~state.focus):
-            state.select_rngs[row].random(out=state.picks[row])
-        state.last_source = adaptation.choose_sources(state.probs, state.focus, state.picks)
+    for row in np.flatnonzero(~state.focus):
+        state.select_rngs[row].random(out=state.picks[row])
+    state.last_source = adaptation.choose_sources(state.probs, state.focus, state.picks)
     for row, rng in enumerate(state.vel_rngs):
         rng.random(out=state.draws[row])
     r = state.draws
-    x, v, pb = state.positions, state.velocities, state.pbest_pos
-    g_own = state.gbest_pos[:, None, :]
-    if config.algorithm == "pso":
-        g_src = g_own
-    else:
-        src = state.last_source
-        if state.cells > 1:  # the source task's row in the same cell
-            src = src * state.cells + (np.arange(len(src)) % state.cells)[:, None]
-        g_src = state.gbest_pos[src]
+    x, v, term = state.positions, state.velocities, state.term
+    src = state.last_source
+    if state.cells > 1:  # the source task's row in the same cell
+        src = src * state.cells + (np.arange(len(src)) % state.cells)[:, None]
+
+    v *= w
+    _add_term(v, np.subtract(state.pbest_pos, x, out=term), config.c1, r[:, 0])
     if config.algorithm == "samtpso-s1":
-        own = adaptation.row_tasks(len(x), state.problem.num_tasks)[:, None]
+        _add_term(v, np.subtract(state.gbest_pos[:, None, :], x, out=term), config.c2, r[:, 1])
+        own = adaptation.row_tasks(len(x), state.probs.shape[1])[:, None]
         c3 = np.where(state.last_source == own, 0.0, config.c3)[..., None]
-        v_new = velocity_s1(
-            v, x, pb, g_own, g_src, w, config.c1, config.c2, c3, r[:, 0], r[:, 1], r[:, 2]
-        )
+        np.take(state.gbest_pos, src, axis=0, out=term, mode="clip")
+        _add_term(v, np.subtract(term, x, out=term), c3, r[:, 2])
     else:
-        v_new = velocity_s2(v, x, pb, g_src, w, config.c1, config.c2, r[:, 0], r[:, 1])
-    state.positions, state.velocities = step_position(x, v_new)
+        np.take(state.gbest_pos, src, axis=0, out=term, mode="clip")
+        _add_term(v, np.subtract(term, x, out=term), config.c2, r[:, 1])
+    x += v
+    _bounce(x, v)
 
 
 def evaluate_and_update(state: SwarmState, record_outcomes: bool = True) -> np.ndarray | None:
     """Evaluate every moved particle on its own task, refresh pbest/gbest
     (strict improvement only), and tally outcomes against each particle's
     chosen source. Returns the (K·C, K) source-choice counts when tallying."""
-    fitness = _evaluate(state.problem, state.positions, state.cells)
+    fitness = _evaluate(state.plan, state.problems, state.positions)
     improved = fitness < state.pbest_fit
-    state.pbest_pos[improved] = state.positions[improved]
-    state.pbest_fit[improved] = fitness[improved]
+    np.copyto(state.pbest_pos, state.positions, where=improved[..., None])
+    np.copyto(state.pbest_fit, fitness, where=improved)
     # each row's first best improved particle, if it beats the swarm best
     cand = np.where(improved, fitness, np.inf)
     rows = np.arange(len(cand))
@@ -288,7 +371,7 @@ def evaluate_and_update(state: SwarmState, record_outcomes: bool = True) -> np.n
     state.gbest_fit[better] = best[better]
     if not record_outcomes:
         return None
-    k = state.problem.num_tasks
+    k = state.probs.shape[1]
     flat = (rows[:, None] * k + state.last_source).ravel()
     counts = np.bincount(flat, minlength=len(rows) * k).reshape(-1, k)
     ns = np.bincount(flat[improved.ravel()], minlength=len(rows) * k).reshape(-1, k)
@@ -299,44 +382,42 @@ def evaluate_and_update(state: SwarmState, record_outcomes: bool = True) -> np.n
 
 def run_generation(state: SwarmState) -> np.ndarray | None:
     """Advance one generation; returns the (K·C, K) source-choice counts,
-    or None for the baseline. A row's probabilities and focus flag follow
-    its window from the generation after its learning period on."""
+    or None for a batch of no-transfer cells, which records nothing. A
+    transferring row's probabilities and focus flag follow its window from
+    the generation after its learning period on; a no-transfer row stays
+    in focus."""
     state.generation += 1
     config = state.config
-    adaptive = config.algorithm != "pso"
     w = inertia_weight(state.generation, config.max_gens, config.w_start, config.w_end)
     _move_swarm(state, w)
-    counts = evaluate_and_update(state, record_outcomes=adaptive)
-    ready = state.generation > state.mem.lp
-    if adaptive and ready.any():
+    counts = evaluate_and_update(state, record_outcomes=state.transfer.any())
+    ready = (state.generation > state.mem.lp) & state.transfer
+    if ready.any():
         probs = adaptation.update_probabilities(state.mem, state.bp, config.eps)
         state.probs = np.where(ready[:, None], probs, state.probs)
-        state.focus = ready & adaptation.focus_flags(state.mem)
+        state.focus = ~state.transfer | (ready & adaptation.focus_flags(state.mem))
     return counts
 
 
-def run_batch(
-    problem: MtoProblem | TaskDef, configs: Sequence[RunConfig], observer=None
-) -> list[RunResult]:
-    """Execute the runs of a batch (configs that differ only in seed, lp and
-    bp) side by side for ``max_gens`` generations; one RunResult per
-    config, each equal bit for bit to that config's run on its own.
+def run_batch(problems: Problems, configs: Sequence[RunConfig], observer=None) -> list[RunResult]:
+    """Execute the runs of a batch (one swarm shape, configs that differ
+    only in seed, lp, bp and PSO against S2; see :func:`init_swarm`) side
+    by side for ``max_gens`` generations; one RunResult per config, each
+    equal bit for bit to that config's run on its own.
 
     ``observer(state)``, when given, is called after the initial evaluation
     and after every generation; useful for invariant checks.
     """
-    problem = _as_problem(problem)
-    state = init_swarm(problem, configs)
-    k, cells = problem.num_tasks, state.cells
+    state = init_swarm(problems, configs)
+    k, cells = state.probs.shape[1], state.cells
     gens = state.config.max_gens
-    adaptive = state.config.algorithm != "pso"
-    optimum = np.repeat([task.optimum_value for task in problem.tasks], cells)
+    optimum = np.array([p.tasks[t].optimum_value for t in range(k) for p in state.problems])
     # cell-major, so that each cell's trace and counts are contiguous; a
     # count is at most pop_per_task, which sets the counts' integer type
     trace = np.empty((cells, gens, k))
     trace[:, 0] = (state.gbest_fit - optimum).reshape(k, cells).T
     count_type = np.min_scalar_type(state.config.pop_per_task)
-    counts_hist = np.zeros((cells, gens - 1, k, k), dtype=count_type) if adaptive else None
+    counts_hist = np.zeros((cells, gens - 1, k, k), dtype=count_type) if state.transfer.any() else None
     if observer is not None:
         observer(state)
     while state.generation < gens:
@@ -353,7 +434,7 @@ def run_batch(
             seed=config.seed,
             pop_per_task=config.pop_per_task,
             fev_trace=trace[c],
-            source_counts=None if counts_hist is None else counts_hist[c],
+            source_counts=counts_hist[c] if state.transfer[c] else None,
             best_positions=state.gbest_pos[c::cells].copy(),
             best_fevs=trace[c, -1].copy(),
         )

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtpso import benchmarks
 from mtpso.benchmarks import (
@@ -55,6 +57,38 @@ class TestBaseFunctions:
         for shape in ((50, 50), (50, 25), (50, 5), (250, 50), (7,)):
             theta = 2.0 * np.pi * (rng.uniform(-0.5, 0.5, shape) + 0.5)
             assert np.array_equal(benchmarks._weierstrass_series(theta), expression(theta))
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(-0.5, 0.5),
+                st.tuples(st.integers(-3, 3), st.floats(-1e-8, 1e-8)).map(sum),
+                st.tuples(st.integers(-3, 3), st.floats(-1e-6, 1e-6)).map(lambda p: p[0] + 0.5 + p[1]),
+                st.sampled_from([0.0, 0.5, -0.5, 1e-300, 5e-324]),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_weierstrass_series_matches_cosine_recurrence(self, ys):
+        # the recurrence on d = a^k c_k keeps the bits of the one on
+        # c_k = cos(3^k theta), in its in-place operation order
+        def on_cosines(theta):
+            c = np.cos(theta)
+            total = c.copy()
+            t = np.empty_like(c)
+            for k in range(1, benchmarks._WEIERSTRASS_KMAX + 1):
+                np.multiply(c, 4.0, out=t)
+                t *= c
+                t -= 3.0
+                c *= t
+                np.multiply(c, benchmarks._WK_A[k], out=t)
+                total += t
+            return total
+
+        theta = 2.0 * np.pi * (np.array(ys) + 0.5)
+        assert np.array_equal(benchmarks._weierstrass_series(theta), on_cosines(theta))
 
     def test_weierstrass_matches_direct_series(self):
         # independent oracle: the literal truncated double sum

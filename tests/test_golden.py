@@ -5,12 +5,18 @@ any floating-point operation or any written digit changes a digest here.
 The manifest runs S1, S2 and PSO, 2 runs x 150 generations, on suite-1 p4,
 suite-1 p6 (a 25-D task in a 50-D unified space) and a 10-task problem of
 mixed functions and dimensions; K >= 8 exercises numpy's unrolled row sums
-in the probability update.
+in the probability update. It runs with the default batch cap (the S1
+cells of both suite-1 problems share a batch, and S2 and PSO cells do) and
+with a cap that leaves every cell alone, serially and on two workers; the
+bytes are the same.
 """
 
 import hashlib
 import json
 
+import pytest
+
+from mtpso import harness
 from mtpso.benchmarks import build_suite, make_task, problem_to_dict
 from mtpso.core import MtoProblem
 from mtpso.harness import parse_experiment, run_experiment
@@ -41,7 +47,14 @@ def golden_problems():
     return [suite.problems[3], suite.problems[5], manytask]
 
 
-def test_golden_artifacts(tmp_path):
+@pytest.mark.parametrize(
+    "one_cell_batches, jobs",
+    [(False, 1), (False, 2), (True, 1), (True, 2)],
+    ids=["batched-jobs1", "batched-jobs2", "alone-jobs1", "alone-jobs2"],
+)
+def test_golden_artifacts(tmp_path, monkeypatch, one_cell_batches, jobs):
+    if one_cell_batches:
+        monkeypatch.setattr(harness, "BATCH_ELEMENTS", 1)
     problem_file = tmp_path / "problems.json"
     problem_file.write_text(json.dumps({"problems": [problem_to_dict(p) for p in golden_problems()]}))
     spec = parse_experiment(
@@ -55,6 +68,6 @@ def test_golden_artifacts(tmp_path):
             "output_dir": str(tmp_path / "out"),
         }
     )
-    out_dir = run_experiment(spec)
+    out_dir = run_experiment(spec, jobs=jobs)
     digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256}
     assert digests == GOLDEN_SHA256

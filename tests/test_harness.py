@@ -1,15 +1,16 @@
 import csv
 import json
+import multiprocessing
 import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mtpso import cli, harness, metrics
+from mtpso import benchmarks, cli, harness, metrics
 from mtpso.benchmarks import GeneratedSeeded, build_suite, make_task, problem_to_dict
-from mtpso.core import MtoProblem
-from mtpso.optimizer import run
+from mtpso.core import MtoProblem, RunConfig
+from mtpso.optimizer import batch_key, run
 from mtpso.harness import (
     ConfigError,
     derive_seed,
@@ -187,8 +188,9 @@ class TestExecute:
 
 
 class TestBatches:
-    """Cells on one problem whose configs differ only in seed, lp and bp
-    share a batch; neither batching nor ``jobs`` changes an artifact."""
+    """Cells of one swarm shape whose configs differ only in seed, lp, bp
+    and PSO against S2 share a batch, whatever their problem; neither
+    batching nor ``jobs`` changes an artifact."""
 
     def lp_sweep_config(self, tiny_problems, out_dir, **extra):
         cfg = tiny_config(tiny_problems, out_dir, max_gens=15, **extra)
@@ -207,14 +209,63 @@ class TestBatches:
             for _ in range(spec.runs)
         ]
         sizes = lambda jobs: sorted(len(b) for b in harness._batches(cells, jobs))  # noqa: E731
-        # per problem: the three S1 lp values x 2 runs, and S2 at two bp x 2 runs
-        assert sizes(1) == [4, 4, 6, 6]
-        assert sizes(2) == [2, 2, 2, 2, 3, 3, 3, 3]
-        assert sizes(5) == [1] * 16 + [2] * 2  # a group of n < jobs cells: n batches
-        many = cells[:1] * (2 * harness.BATCH_CELLS + 1)
+        # both problems have one shape: the three S1 lp values x 2 problems
+        # x 2 runs, and S2 at two bp x 2 problems x 2 runs
+        assert sizes(1) == [8, 12]
+        assert sizes(2) == [4, 4, 6, 6]
+        assert sizes(5) == [1, 1] + [2] * 6 + [3, 3]
+        assert sizes(16) == [1] * 20  # a group of n < jobs cells: n batches
+        per_batch = harness.BATCH_ELEMENTS // (2 * 8 * 3)  # K x N x D_u of a tiny cell
+        many = cells[:1] * (2 * per_batch + 1)
         split = [len(b) for b in harness._batches(many, 1)]
         assert len(split) == 3 and sum(split) == len(many) and max(split) - min(split) <= 1
         assert sorted(i for b in harness._batches(cells, 2) for i in b) == list(range(len(cells)))
+
+    @pytest.mark.parametrize("cap", [1, 100, 500, 10**6])
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_batches_keep_shape_order_cap_and_split(self, monkeypatch, cap, jobs):
+        monkeypatch.setattr(harness, "BATCH_ELEMENTS", cap)
+        problems = {  # id -> problem; ids 1, 2 and 4 share K = 2 and D_u = 3
+            1: MtoProblem(tasks=(make_task("sphere", 3, 1), make_task("rastrigin", 2, 2))),
+            2: MtoProblem(tasks=(make_task("ackley", 3, 3), make_task("griewank", 3, 4))),
+            3: MtoProblem(tasks=(make_task("sphere", 4, 5), make_task("rastrigin", 4, 6))),
+            4: MtoProblem(tasks=(make_task("weierstrass", 2, 7), make_task("schwefel", 3, 8))),
+            5: MtoProblem(tasks=tuple(make_task("sphere", 3, 9 + t) for t in range(3))),
+        }
+        base = RunConfig(pop_per_task=4, max_gens=5)
+        algorithms = [
+            ("s1", base),
+            ("s1@lp=2", replace(base, lp=2)),
+            ("s2", replace(base, algorithm="samtpso-s2")),
+            ("pso", replace(base, algorithm="pso")),
+            ("s2@c1=1", replace(base, algorithm="samtpso-s2", c1=1.0)),
+        ]
+        cells = [
+            (label, config, problems[pid], pid, run_index, False, False)
+            for label, config in algorithms
+            for pid in (4, 1, 3, 2, 5)
+            for run_index in (1, 2)
+        ]
+        batches = harness._batches(cells, jobs)
+        assert sorted(i for b in batches for i in b) == list(range(len(cells)))
+        shape = lambda i: (cells[i][2].num_tasks, cells[i][2].unified_dim, batch_key(cells[i][1]))  # noqa: E731
+        groups = {}
+        for batch in batches:
+            assert len({shape(i) for i in batch}) == 1
+            # problems ascend, each problem's cells adjacent and in grid order
+            assert batch == sorted(batch, key=lambda i: (cells[i][3], i))
+            k, d_u, config = shape(batch[0])
+            assert len(batch) == 1 or len(batch) * k * config.pop_per_task * d_u <= cap
+            groups.setdefault(shape(batch[0]), []).append(len(batch))
+        for key, lengths in groups.items():
+            members = sum(1 for i in range(len(cells)) if shape(i) == key)
+            assert len(lengths) >= min(jobs, members)
+            assert max(lengths) - min(lengths) <= 1
+        # S2 and PSO cells share a shape; S1 at two lp values does too
+        assert shape(0) == shape(10) and shape(20) == shape(30) and shape(20) != shape(40)
+        # three configs (S1 at both lp, S2 with PSO, S2 at c1 = 1) x three
+        # shapes (K = 2 and D_u = 3 for problems 1, 2 and 4; D_u = 4; K = 3)
+        assert len(groups) == 9
 
     def test_lp_sweep_artifacts_same_at_one_and_two_jobs(self, tiny_problems, tmp_path):
         outs = []
@@ -233,6 +284,35 @@ class TestBatches:
             alone = run(problems[cell.problem_id], replace(configs[cell.algorithm], seed=seed))
             assert np.array_equal(cell.trace, alone.fev_trace)
             assert np.array_equal(cell.source_counts, alone.source_counts)
+
+
+class TestWorkerCrash:
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the crashing base function is registered in this process, which workers must inherit",
+    )
+    def test_dead_worker_names_its_cells_and_exits_4(self, tmp_path, capsys):
+        parent = os.getpid()
+
+        def crash_in_worker(y):
+            if os.getpid() != parent:
+                os._exit(1)
+            return np.sum(np.asarray(y, dtype=float) ** 2, axis=-1)
+
+        benchmarks.register_base("crash-in-worker", crash_in_worker, -1, 1)
+        problems = [
+            MtoProblem(tasks=(make_task("sphere", 3, 1), make_task("rastrigin", 3, 2))),
+            MtoProblem(tasks=(make_task("sphere", 3, 3), make_task("crash-in-worker", 3, 4))),
+        ]
+        path = tmp_path / "problems.json"
+        path.write_text(json.dumps({"problems": [problem_to_dict(p) for p in problems]}))
+        config = tmp_path / "crash.json"
+        config.write_text(json.dumps(tiny_config(str(path), tmp_path / "out", algorithms=["samtpso-s1"])))
+        status = cli.main(["run", "--config", str(config), "--jobs", "2", "--quiet"])
+        err = capsys.readouterr().err
+        assert status == 4
+        assert "worker process died" in err
+        assert "(samtpso-s1, 2, 1)" in err and "(samtpso-s1, 2, 2)" in err
 
 
 class TestJobsKey:

@@ -389,33 +389,55 @@ class TestRunLoops:
 
 
 class TestBatch:
-    """A batch of cells that differ only in seed, lp and bp equals each
-    cell run on its own, bit for bit."""
+    """A batch of cells of one swarm shape (K, N, D_u) whose configs differ
+    only in seed, lp, bp and PSO against S2 equals each cell run on its
+    own, bit for bit, whatever problem each cell has."""
 
     FUNCTIONS = ("sphere", "rosenbrock", "ackley", "rastrigin", "griewank", "weierstrass", "schwefel")
 
-    @given(
-        st.lists(st.tuples(st.sampled_from(FUNCTIONS), st.integers(2, 7)), min_size=1, max_size=6),
-        st.lists(
-            st.tuples(st.integers(0, 2**64 - 1), st.integers(1, 6), st.sampled_from([0.0, 0.001, 0.1])),
-            min_size=1,
-            max_size=4,
-        ),
-        st.sampled_from(ALGORITHMS),
-        st.integers(0, 2**16),
-    )
+    @given(st.data())
     @settings(max_examples=40, deadline=None)
-    def test_batch_equals_cells_alone(self, tasks, cells, algorithm, task_seed):
-        defs = tuple(make_task(fn, d, task_seed + i) for i, (fn, d) in enumerate(tasks))
-        problem = defs[0] if len(defs) == 1 else MtoProblem(tasks=defs)
-        base = RunConfig(algorithm=algorithm, pop_per_task=6, max_gens=14)
-        configs = [replace(base, seed=seed, lp=lp, bp=bp) for seed, lp, bp in cells]
-        for config, got in zip(configs, run_batch(problem, configs)):
+    def test_batch_equals_cells_alone(self, data):
+        k = data.draw(st.integers(1, 4), label="tasks")
+        d_u = data.draw(st.integers(2, 7), label="unified dimension")
+
+        def draw_problem():
+            tasks = data.draw(
+                st.lists(st.tuples(st.sampled_from(self.FUNCTIONS), st.integers(2, d_u)), min_size=k, max_size=k)
+            )
+            widest = data.draw(st.integers(0, k - 1))
+            tasks[widest] = (tasks[widest][0], d_u)
+            task_seed = data.draw(st.integers(0, 2**16))
+            defs = tuple(make_task(fn, d, task_seed + i) for i, (fn, d) in enumerate(tasks))
+            return defs[0] if k == 1 else MtoProblem(tasks=defs)
+
+        problems = [draw_problem() for _ in range(data.draw(st.integers(1, 3), label="problems"))]
+        family = data.draw(st.sampled_from([("samtpso-s1",), ("samtpso-s2", "pso")]))
+        cells = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, len(problems) - 1),
+                    st.sampled_from(family),
+                    st.integers(0, 2**64 - 1),
+                    st.integers(1, 6),
+                    st.sampled_from([0.0, 0.001, 0.1]),
+                ),
+                min_size=1,
+                max_size=5,
+            ),
+            label="cells",
+        )
+        batch = [problems[p] for p, *_ in cells]
+        configs = [
+            RunConfig(algorithm=algorithm, pop_per_task=6, max_gens=14, seed=seed, lp=lp, bp=bp)
+            for _, algorithm, seed, lp, bp in cells
+        ]
+        for problem, config, got in zip(batch, configs, run_batch(batch, configs)):
             alone = run(problem, config)
-            assert got.seed == config.seed
+            assert got.seed == config.seed and got.algorithm == config.algorithm
             assert np.array_equal(got.fev_trace, alone.fev_trace)
             assert np.array_equal(got.best_positions, alone.best_positions)
-            if algorithm == "pso":
+            if config.algorithm == "pso":
                 assert got.source_counts is None and alone.source_counts is None
             else:
                 assert np.array_equal(got.source_counts, alone.source_counts)
