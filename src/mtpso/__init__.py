@@ -22,11 +22,10 @@ from .adaptation import (
     MemoryWindow,
     choose_sources,
     focus_flags,
-    roulette_select,
     update_probabilities,
 )
 from .optimizer import RunResult, SwarmState, init_swarm, run, run_batch
-from .metrics import FevTable, TransferStats, aggregate, format_cell, score, transfer_rates
+from .metrics import FevTable, TransferStats, format_cell, score, transfer_rates
 from .harness import ExperimentSpec, derive_seed, execute, parse_experiment, run_experiment
 
 __version__ = "0.1.0"
@@ -45,7 +44,6 @@ __all__ = [
     "SwarmState",
     "TaskDef",
     "TransferStats",
-    "aggregate",
     "base_eval",
     "build_suite",
     "choose_sources",
@@ -59,7 +57,6 @@ __all__ = [
     "init_swarm",
     "make_task",
     "parse_experiment",
-    "roulette_select",
     "run",
     "run_batch",
     "run_experiment",

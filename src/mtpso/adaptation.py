@@ -50,51 +50,27 @@ class MemoryWindow:
         self._sums = np.zeros(block, dtype=np.int64)
         self._committed = 0
 
-    def record(self, source: int, improved: bool) -> None:
-        """Count one evaluation outcome against the current generation."""
-        if not 0 <= source < self.k:
-            raise IndexError(f"source index {source} out of range [0, {self.k})")
-        self._staged[..., source if improved else self.k + source] += 1
-
     def record_counts(self, ns_col: np.ndarray, nf_col: np.ndarray) -> None:
-        """Bulk form of :meth:`record` for one generation's tallies."""
+        """Stage one generation's success and failure counts per source,
+        each of the window's shape."""
         self._staged[..., : self.k] += np.asarray(ns_col, dtype=np.int64)
         self._staged[..., self.k :] += np.asarray(nf_col, dtype=np.int64)
 
     def commit_generation(self) -> None:
         """Store the staged column; a full row drops its oldest one."""
-        n = self._committed
-        np.add(self._totals[n % self._ring], self._staged, out=self._totals[(n + 1) % self._ring])
+        n = self._committed = self._committed + 1
+        now = self._totals[n % self._ring]
+        np.add(self._totals[(n - 1) % self._ring], self._staged, out=now)
         self._staged.fill(0)
-        self._committed = n + 1
         self.filled += self.filled < self.lp
-        self._update_sums()
-
-    def evict_oldest(self) -> None:
-        if np.any(self.filled == 0):
-            raise EmptyWindowError("cannot evict from an empty window")
-        self.filled -= 1
-        self._update_sums()
-
-    def _update_sums(self) -> None:
-        n = self._committed
         old = (n - self.filled) % self._ring  # each row's total `filled` commits ago
-        past = self._totals[(old, *self._row_index)]
-        np.subtract(self._totals[n % self._ring], past, out=self._sums)
+        np.subtract(now, self._totals[(old, *self._row_index)], out=self._sums)
 
     def success_sums(self) -> np.ndarray:
         return self._sums[..., : self.k].copy()
 
     def failure_sums(self) -> np.ndarray:
         return self._sums[..., self.k :].copy()
-
-    def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stored (ns, nf) columns in oldest-to-newest order (a window with
-        per-row lengths gives as many as its fullest row holds)."""
-        count = int(np.max(self.filled))
-        ages = np.arange(self._committed - count, self._committed + 1) % self._ring
-        cols = np.diff(self._totals[ages], axis=0)
-        return cols[..., : self.k], cols[..., self.k :]
 
 
 def row_tasks(rows: int, k: int) -> np.ndarray:
@@ -136,16 +112,12 @@ def focus_flags(mem: MemoryWindow) -> np.ndarray:
     return (mem.success_sums() == 0).all(axis=-1) & (mem.filled > 0)
 
 
-def roulette_select(p: np.ndarray, u: float) -> int:
-    """Smallest index whose cumulative probability exceeds u."""
-    cum = np.cumsum(p)
-    return int(min(np.searchsorted(cum, u, side="right"), len(p) - 1))
-
-
 def roulette_select_many(p: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """:func:`roulette_select` for every u in ``us``; with p of shape (K, k),
-    row t of ``us`` draws from p[t]. Counting the cumulative probabilities
-    at or below u is the right-sided search, ties included."""
+    """Roulette choice for every u in ``us``: the smallest source index whose
+    cumulative probability exceeds u, or the last index when none does (a
+    float tail). With p of shape (rows, k), row t of ``us`` draws from p[t].
+    The index is the count of cumulative probabilities at or below u, so a
+    u on an edge goes to the right."""
     cum = np.cumsum(p, axis=-1)
     picks = np.count_nonzero(cum[..., None, :] <= us[..., None], axis=-1)
     return np.minimum(picks, p.shape[-1] - 1)

@@ -127,7 +127,10 @@ def cmd_sweep(args) -> int:
     swept = []
     for value in values:
         for label, config in spec.algorithms:
-            swept.append((f"{label}@{param}={value}", replace(config, **{param: value})))
+            try:
+                swept.append((f"{label}@{param}={value}", replace(config, **{param: value})))
+            except ValueError as exc:
+                raise ConfigError(f"--values: {exc}") from exc
     spec = replace(spec, algorithms=tuple(swept))
     resolved = harness.resolve_problems(spec)
 

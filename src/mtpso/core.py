@@ -8,6 +8,7 @@ onto the task's native box.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,8 +44,8 @@ class TaskDef:
     """One component task: a shifted/rotated base function on a box.
 
     ``shift`` is the location of the task's global optimum in native
-    coordinates and ``optimum_value`` its objective value there (0 for the
-    generated suites).
+    coordinates, where its objective value is 0, so a fitness is also an
+    error value.
     """
 
     base_fn: str
@@ -53,7 +54,6 @@ class TaskDef:
     upper: np.ndarray
     shift: np.ndarray
     rotation: np.ndarray
-    optimum_value: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "lower", np.asarray(self.lower, dtype=float))
@@ -136,6 +136,9 @@ class RunConfig:
         for i, name in enumerate(("c1", "c2", "c3")):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, defaults[i])
+        for name in ("bp", "eps", "w_start", "w_end", "c1", "c2", "c3"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.pop_per_task < 1:
             raise ValueError("pop_per_task must be positive")
         if self.lp < 1:
@@ -205,14 +208,8 @@ def evaluate_task(x_unified: np.ndarray, task: TaskDef) -> float | np.ndarray:
 
     The native point is rotated around the task's shift
     (:func:`task_frame`) and fed to the base function, re-centered so the
-    global optimum sits at the shift, where the objective equals
-    ``task.optimum_value``.
+    global optimum sits at the shift, where the objective is 0.
     """
     from . import benchmarks  # local import: benchmarks depends on core types
 
-    return benchmarks.task_eval(task.base_fn, task_frame(x_unified, task)) + task.optimum_value
-
-
-def fev(fitness: float | np.ndarray, task: TaskDef) -> float | np.ndarray:
-    """Function error value: fitness relative to the task's true optimum."""
-    return fitness - task.optimum_value
+    return benchmarks.task_eval(task.base_fn, task_frame(x_unified, task))

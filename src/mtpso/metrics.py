@@ -1,5 +1,5 @@
-"""Error-value aggregation, the cross-algorithm performance score, and
-inter-task transfer statistics."""
+"""The cross-algorithm performance score and inter-task transfer
+statistics."""
 
 from __future__ import annotations
 
@@ -76,19 +76,6 @@ def score(table: FevTable | np.ndarray, std: str = "population") -> np.ndarray:
     return scores
 
 
-def aggregate(results: list[RunResult]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-task mean and sample standard deviation of the final error values."""
-    if not results:
-        raise ValueError("no results to aggregate")
-    fevs = np.stack([r.best_fevs for r in results])  # (runs, K)
-    means = fevs.mean(axis=0)
-    if fevs.shape[0] == 1:
-        stds = np.zeros(fevs.shape[1])
-    else:
-        stds = fevs.std(axis=0, ddof=1)
-    return means, stds
-
-
 def sci(x: float) -> str:
     """Scientific notation with a 2-decimal mantissa and unpadded exponent,
     e.g. 0.006 -> '6.00E-3'."""
@@ -112,9 +99,3 @@ def transfer_rates(result: RunResult) -> TransferStats:
     fractions = counts / result.pop_per_task
     return TransferStats(itk=fractions.mean(axis=0))
 
-
-def per_generation_fractions(result: RunResult) -> np.ndarray:
-    """Choice fractions per move generation, shape (gens-1, K, K)."""
-    if result.source_counts is None:
-        raise ValueError(f"{result.algorithm} runs choose no knowledge sources")
-    return result.source_counts / result.pop_per_task

@@ -121,30 +121,6 @@ def inertia_weight(g: int, max_gens: int, w_start: float, w_end: float) -> float
     return w_start - (w_start - w_end) * (g - 1) / (max_gens - 1)
 
 
-def velocity_s1(v, x, pbest, gbest_own, gbest_src, w, c1, c2, c3, r1, r2, r3):
-    """Four-term update: inertia, cognition, own swarm best, source best.
-
-    The source term transfers knowledge from another task. A particle whose
-    chosen source is its own task (including every particle under focus
-    search) does no transfer, so the caller passes ``c3 = 0`` for it and
-    the rule reduces to the three-term move with ``c1`` and ``c2``; ``c3``
-    may be an array of per-particle coefficients of shape (N, 1) or (K, N, 1).
-    """
-    return (
-        w * v
-        + c1 * r1 * (pbest - x)
-        + c2 * r2 * (gbest_own - x)
-        + c3 * r3 * (gbest_src - x)
-    )
-
-
-def velocity_s2(v, x, pbest, gbest_src, w, c1, c2, r1, r2):
-    """Three-term update with the chosen source's best in the social term.
-    With the particle's own swarm best as the source it is the classic PSO
-    update, which the no-transfer baseline uses."""
-    return w * v + c1 * r1 * (pbest - x) + c2 * r2 * (gbest_src - x)
-
-
 BOUNCE_DAMPING = 0.5
 
 
@@ -152,7 +128,12 @@ def _bounce(x, v) -> bool:
     """Reflect the entries of moved positions ``x`` that left [0, 1] off
     the walls and reverse and damp ``v`` there, both in place; returns
     whether any entry bounced. Only the leaving entries are folded back
-    (``np.mod`` is slow)."""
+    (``np.mod`` is slow).
+
+    Hard clamping (zeroed velocity at the wall) collapses the swarm long
+    before the inertia schedule ends and stalls convergence by orders of
+    magnitude; a damped bounce keeps the box invariant without the stall.
+    """
     out = np.flatnonzero((x < 0.0) | (x > 1.0))
     if out.size == 0:
         return False
@@ -162,20 +143,6 @@ def _bounce(x, v) -> bool:
     flat_v = v.reshape(-1)
     flat_v[out] = -BOUNCE_DAMPING * flat_v[out]
     return True
-
-
-def step_position(x, v):
-    """Move within [0, 1]: positions that would leave the box are reflected
-    off the walls and their velocity is reversed and damped.
-
-    Hard clamping (zeroed velocity at the wall) collapses the swarm long
-    before the inertia schedule ends and stalls convergence by orders of
-    magnitude; a damped bounce keeps the box invariant without the stall.
-    ``x`` and ``v`` are arrays of one shape; returns the new (x, v), with
-    ``v`` itself when nothing bounces. The swarm takes this step in place.
-    """
-    moved, velocity = x + v, v.copy()
-    return moved, velocity if _bounce(moved, velocity) else v
 
 
 # Algorithms that step by another's rule with transfer switched off: the
@@ -229,8 +196,8 @@ def _evaluate(plan: list[_Group], problems: tuple, positions: np.ndarray) -> np.
         for particles, task, at in group.segments:
             task_frame(x[particles], task, out=group.frame[at])
         values = benchmarks.task_eval(group.base_fn, group.frame)
-        for particles, task, at in group.segments:
-            np.add(values[at], task.optimum_value, out=fit[particles])
+        for particles, _, at in group.segments:
+            fit[particles] = values[at]
     if not np.isfinite(fit).all():
         t, c = divmod(int(np.flatnonzero(~np.isfinite(fit))[0]) // n_s, len(problems))
         raise NonFiniteFitnessError(
@@ -322,9 +289,20 @@ def _move_swarm(state: SwarmState, w: float) -> None:
     for all rows at once, in place; only the random draws are made row by
     row.
 
-    The velocity is :func:`velocity_s1` or :func:`velocity_s2` summed term
-    by term into ``state.velocities``, each draw scaled in place by its
-    coefficient: the same operations in the same order, so the same bits.
+    With draws r1, r2, r3 uniform on [0, 1) per particle and dimension, own
+    swarm best g and chosen source's best g_s, S2 moves by
+
+        v <- w·v + c1·r1·(pbest − x) + c2·r2·(g_s − x),
+
+    which with the own task as the source (every no-transfer row) is the
+    classic PSO rule, and S1 by
+
+        v <- w·v + c1·r1·(pbest − x) + c2·r2·(g − x) + c3·r3·(g_s − x),
+
+    where the c3 term transfers knowledge and is dropped (c3 = 0) for a
+    particle whose source is its own task. Then x <- x + v and
+    :func:`_bounce`. The terms are summed in this order into
+    ``state.velocities``, each draw scaled in place by its coefficient.
     """
     config = state.config
     for row in np.flatnonzero(~state.focus):
@@ -334,9 +312,8 @@ def _move_swarm(state: SwarmState, w: float) -> None:
         rng.random(out=state.draws[row])
     r = state.draws
     x, v, term = state.positions, state.velocities, state.term
-    src = state.last_source
-    if state.cells > 1:  # the source task's row in the same cell
-        src = src * state.cells + (np.arange(len(src)) % state.cells)[:, None]
+    # the source task's row in the same cell
+    src = state.last_source * state.cells + (np.arange(len(x)) % state.cells)[:, None]
 
     v *= w
     _add_term(v, np.subtract(state.pbest_pos, x, out=term), config.c1, r[:, 0])
@@ -411,11 +388,10 @@ def run_batch(problems: Problems, configs: Sequence[RunConfig], observer=None) -
     state = init_swarm(problems, configs)
     k, cells = state.probs.shape[1], state.cells
     gens = state.config.max_gens
-    optimum = np.array([p.tasks[t].optimum_value for t in range(k) for p in state.problems])
     # cell-major, so that each cell's trace and counts are contiguous; a
     # count is at most pop_per_task, which sets the counts' integer type
     trace = np.empty((cells, gens, k))
-    trace[:, 0] = (state.gbest_fit - optimum).reshape(k, cells).T
+    trace[:, 0] = state.gbest_fit.reshape(k, cells).T
     count_type = np.min_scalar_type(state.config.pop_per_task)
     counts_hist = np.zeros((cells, gens - 1, k, k), dtype=count_type) if state.transfer.any() else None
     if observer is not None:
@@ -423,7 +399,7 @@ def run_batch(problems: Problems, configs: Sequence[RunConfig], observer=None) -
     while state.generation < gens:
         counts = run_generation(state)
         g = state.generation
-        trace[:, g - 1] = (state.gbest_fit - optimum).reshape(k, cells).T
+        trace[:, g - 1] = state.gbest_fit.reshape(k, cells).T
         if counts is not None:
             counts_hist[:, g - 2] = counts.reshape(k, cells, k).transpose(1, 0, 2)
         if observer is not None:

@@ -1,4 +1,5 @@
 import warnings
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,6 @@ from mtpso.adaptation import (
     MemoryWindow,
     choose_sources,
     focus_flags,
-    roulette_select,
     roulette_select_many,
     update_probabilities,
 )
@@ -35,59 +35,69 @@ def window_with_sums(ns_sums, nf_sums, lp=10):
     return mem
 
 
+class NaiveWindow:
+    """Oracle: the last ``lp`` committed (ns, nf) columns in a deque."""
+
+    def __init__(self, lp):
+        self.columns = deque(maxlen=lp)
+
+    def commit(self, ns_col, nf_col):
+        self.columns.append((np.asarray(ns_col), np.asarray(nf_col)))
+
+    def sums(self):
+        return tuple(np.sum([col[i] for col in self.columns], axis=0) for i in (0, 1))
+
+
+def assert_window_sums(mem, naive):
+    ns, nf = naive.sums()
+    assert np.array_equal(mem.success_sums(), ns)
+    assert np.array_equal(mem.failure_sums(), nf)
+
+
 class TestMemoryWindow:
     def test_first_record_lands_in_column(self):
-        mem = MemoryWindow(5, 3)
-        mem.record(0, improved=True)
+        mem, naive = MemoryWindow(5, 3), NaiveWindow(5)
+        mem.record_counts([1, 0, 0], [0, 0, 0])
         mem.commit_generation()
+        naive.commit([1, 0, 0], [0, 0, 0])
+        assert_window_sums(mem, naive)
         assert np.array_equal(mem.success_sums(), [1, 0, 0])
         assert np.array_equal(mem.failure_sums(), [0, 0, 0])
 
     def test_column_conserves_population(self):
-        mem = MemoryWindow(5, 2)
+        mem, naive = MemoryWindow(5, 2), NaiveWindow(5)
         rng = np.random.default_rng(0)
-        for i in range(50):
-            mem.record(int(rng.integers(2)), improved=bool(rng.integers(2)))
+        sources, improved = rng.integers(2, size=50), rng.integers(2, size=50).astype(bool)
+        ns = np.bincount(sources[improved], minlength=2)
+        nf = np.bincount(sources[~improved], minlength=2)
+        mem.record_counts(ns, nf)
         mem.commit_generation()
-        ns, nf = mem.columns()
-        assert (ns[-1].sum() + nf[-1].sum()) == 50
+        naive.commit(ns, nf)
+        assert_window_sums(mem, naive)
+        assert mem.success_sums().sum() + mem.failure_sums().sum() == 50
 
     def test_ring_eviction_matches_naive_oracle(self):
         lp, k = 4, 3
-        mem = MemoryWindow(lp, k)
-        naive: list[tuple[np.ndarray, np.ndarray]] = []
+        mem, naive = MemoryWindow(lp, k), NaiveWindow(lp)
         rng = np.random.default_rng(42)
         for gen in range(25):
             ns_col = rng.integers(0, 5, k)
             nf_col = rng.integers(0, 5, k)
             mem.record_counts(ns_col, nf_col)
             mem.commit_generation()
-            naive.append((ns_col, nf_col))
-            kept = naive[-lp:]
+            naive.commit(ns_col, nf_col)
             assert mem.filled == min(gen + 1, lp)
-            assert np.array_equal(mem.success_sums(), np.sum([c[0] for c in kept], axis=0))
-            assert np.array_equal(mem.failure_sums(), np.sum([c[1] for c in kept], axis=0))
+            assert_window_sums(mem, naive)
 
     def test_columns_ordered_oldest_to_newest(self):
-        mem = MemoryWindow(3, 1)
+        """A full window drops its oldest column: 1 goes, 2, 3 and 4 stay."""
+        mem, naive = MemoryWindow(3, 1), NaiveWindow(3)
         for value in (1, 2, 3, 4):
             mem.record_counts([value], [0])
             mem.commit_generation()
-        ns, _ = mem.columns()
-        assert ns[:, 0].tolist() == [2, 3, 4]
-
-    def test_explicit_eviction(self):
-        mem = MemoryWindow(3, 2)
-        for _ in range(3):
-            mem.record_counts([1, 0], [0, 1])
-            mem.commit_generation()
-        mem.evict_oldest()
-        assert mem.filled == 2
-        assert np.array_equal(mem.success_sums(), [2, 0])
-
-    def test_evict_empty_raises(self):
-        with pytest.raises(EmptyWindowError):
-            MemoryWindow(3, 2).evict_oldest()
+            naive.commit([value], [0])
+        assert_window_sums(mem, naive)
+        assert mem.success_sums().tolist() == [2 + 3 + 4]
 
     @given(st.lists(st.integers(1, 6), min_size=1, max_size=5), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -108,9 +118,9 @@ class TestMemoryWindow:
                 assert np.array_equal(mem.failure_sums()[r], np.sum([c[1][r] for c in kept], axis=0))
 
     def test_record_out_of_range(self):
-        mem = MemoryWindow(3, 2)
-        with pytest.raises(IndexError):
-            mem.record(2, improved=True)
+        """A count for a source the window does not have is rejected."""
+        with pytest.raises(ValueError):
+            MemoryWindow(3, 2).record_counts([0, 0, 1], [0, 0, 0])
 
     def test_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -209,28 +219,34 @@ class TestUpdateProbabilities:
         assert more[0] > base[0]
 
 
+def pick_one(p, u):
+    """One roulette draw: ``roulette_select_many`` on a one-row batch."""
+    return int(roulette_select_many(np.array([p], dtype=float), np.array([[u]]))[0, 0])
+
+
 class TestRoulette:
     def test_certain_bin(self):
-        assert roulette_select(np.array([1.0, 0.0]), 0.3) == 0
+        assert pick_one([1.0, 0.0], 0.3) == 0
 
     def test_cumulative_boundaries(self):
-        assert roulette_select(np.array([0.5, 0.5]), 0.6) == 1
-        assert roulette_select(np.array([0.25, 0.25, 0.5]), 0.4) == 1
-        assert roulette_select(np.array([0.25, 0.25, 0.5]), 0.9) == 2
+        assert pick_one([0.5, 0.5], 0.6) == 1
+        assert pick_one([0.25, 0.25, 0.5], 0.4) == 1
+        assert pick_one([0.25, 0.25, 0.5], 0.9) == 2
 
     def test_exact_edge_goes_right(self):
-        assert roulette_select(np.array([0.5, 0.5]), 0.5) == 1
+        assert pick_one([0.5, 0.5], 0.5) == 1
 
     def test_float_tail_guard(self):
-        p = np.array([0.3, 0.3, 0.4])
-        assert roulette_select(p, 0.999999999999) == 2
+        assert pick_one([0.3, 0.3, 0.4], 0.999999999999) == 2
+        assert pick_one([0.1] * 10, 0.9999999999999999) == 9  # the cumulative sum ends below 1
 
     def test_vectorized_matches_scalar(self):
+        """One call over many draws equals one call per draw."""
         rng = np.random.default_rng(1)
         p = np.array([0.1, 0.2, 0.3, 0.4])
         us = rng.random(500)
-        many = roulette_select_many(p, us)
-        singles = np.array([roulette_select(p, u) for u in us])
+        many = roulette_select_many(p[None, :], us[None, :])[0]
+        singles = np.array([pick_one(p, u) for u in us])
         assert np.array_equal(many, singles)
 
     def test_empirical_frequencies(self):
@@ -267,8 +283,7 @@ class TestFocus:
             mem.record_counts([0, 0], [3, 3])
             mem.commit_generation()
         assert focus_flags(mem)
-        mem.evict_oldest()
-        mem.record_counts([1, 0], [2, 3])
+        mem.record_counts([1, 0], [2, 3])  # drops the oldest column, keeps lp - 1 without success
         mem.commit_generation()
         assert not focus_flags(mem)
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,8 @@ from mtpso.core import (
     decode,
     encode,
     evaluate_task,
-    fev,
 )
+from mtpso.harness import ConfigError, parse_experiment
 
 
 def plain_task(fn="sphere", dim=2, lower=-100.0, upper=100.0, shift=None):
@@ -96,25 +98,14 @@ class TestEvaluateTask:
         assert evaluate_task(u, task) == pytest.approx(0.0, abs=1e-12)
 
     def test_fev_equals_fitness_when_optimum_zero(self):
-        task = plain_task("sphere", dim=2)
-        assert fev(3.5, task) == 3.5
+        """Every task's optimum value is 0, so a run's error values are its
+        swarm bests' fitness, with nothing subtracted."""
+        from mtpso.optimizer import run
 
-    def test_nonzero_optimum_value_gives_zero_fev_at_shift(self):
-        shift = np.array([10.0, -20.0])
-        task = TaskDef(
-            base_fn="sphere",
-            dim=2,
-            lower=np.full(2, -100.0),
-            upper=np.full(2, 100.0),
-            shift=shift,
-            rotation=np.eye(2),
-            optimum_value=5.0,
-        )
-        fitness = evaluate_task(encode(shift, task), task)
-        assert fitness == pytest.approx(5.0, abs=1e-12)
-        assert fev(fitness, task) == pytest.approx(0.0, abs=1e-12)
-        away = evaluate_task(encode(shift + 1.0, task), task)
-        assert fev(away, task) == pytest.approx(2.0, rel=1e-12)
+        problem = MtoProblem(tasks=(plain_task("sphere", dim=2), plain_task("rastrigin", dim=2, lower=-5, upper=5)))
+        result = run(problem, RunConfig(pop_per_task=6, max_gens=5, seed=3))
+        for t, task in enumerate(problem.tasks):
+            assert result.best_fevs[t] == pytest.approx(evaluate_task(result.best_positions[t], task), rel=1e-12)
 
 
 class TestTaskDefInvariants:
@@ -195,8 +186,23 @@ class TestRunConfig:
             {"pop_per_task": 0},
             {"seed": 2**64},
             {"seed": -1},
+            {"bp": float("nan")},
+            {"bp": float("inf")},
+            {"eps": float("nan")},
+            {"w_start": float("nan")},
+            {"w_end": float("nan")},
+            {"w_start": float("inf")},
+            {"c1": float("nan")},
+            {"c2": float("inf")},
+            {"c3": float("-inf")},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             RunConfig(**kwargs)
+
+    def test_nan_from_json_rejected(self):
+        """``json.loads`` accepts a bare NaN; the experiment parser must not."""
+        cfg = json.loads('{"bp": NaN, "algorithms": ["samtpso-s1"]}')
+        with pytest.raises(ConfigError, match="bp must be finite"):
+            parse_experiment(cfg)

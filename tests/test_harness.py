@@ -554,6 +554,14 @@ class TestCli:
         for value in (2, 5, 10):
             assert f"samtpso-s1@lp={value}" in scores
 
+    @pytest.mark.parametrize("param, value", [("lp", "0"), ("bp", "-0.5"), ("bp", "nan")])
+    def test_sweep_out_of_range_value_exits_2(self, tiny_problems, tmp_path, capsys, param, value):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(tiny_config(tiny_problems, tmp_path / "out")))
+        assert cli.main(["sweep", "--config", str(cfg_path), "--param", param, f"--values={value}", "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()
+
     @pytest.fixture()
     def one_task_file(self, tmp_path):
         path = tmp_path / "bad.json"

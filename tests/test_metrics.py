@@ -8,9 +8,7 @@ from mtpso.core import MtoProblem, RunConfig
 from mtpso.metrics import (
     FevTable,
     TransferStats,
-    aggregate,
     format_cell,
-    per_generation_fractions,
     sci,
     score,
     transfer_rates,
@@ -134,35 +132,6 @@ def fake_result(best_fevs, counts=None, pop=10, algorithm="samtpso-s1"):
     )
 
 
-class TestAggregate:
-    def test_single_run_std_zero(self):
-        means, stds = aggregate([fake_result([2.0, 5.0])])
-        assert np.allclose(means, [2.0, 5.0])
-        assert np.allclose(stds, 0.0)
-
-    def test_two_run_mean(self):
-        means, _ = aggregate([fake_result([1.0]), fake_result([3.0])])
-        assert means[0] == pytest.approx(2.0)
-
-    def test_sample_std(self):
-        results = [fake_result([v]) for v in (0.0, 0.0, 2.0, 2.0)]
-        means, stds = aggregate(results)
-        assert means[0] == pytest.approx(1.0)
-        assert stds[0] == pytest.approx(1.1547005383792515, rel=1e-12)
-
-    def test_matches_numpy_recomputation(self):
-        rng = np.random.default_rng(2)
-        data = rng.random((12, 3))
-        results = [fake_result(row) for row in data]
-        means, stds = aggregate(results)
-        assert np.allclose(means, data.mean(axis=0), rtol=1e-12)
-        assert np.allclose(stds, data.std(axis=0, ddof=1), rtol=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate([])
-
-
 class TestFormatting:
     def test_sci_small(self):
         assert sci(0.006) == "6.00E-3"
@@ -210,7 +179,7 @@ class TestTransferRates:
         problem = MtoProblem(tasks=(make_task("sphere", 5, 0), make_task("sphere", 5, 1)))
         cfg = RunConfig(algorithm="samtpso-s1", pop_per_task=200, seed=11, max_gens=3)
         result = run(problem, cfg)
-        first = per_generation_fractions(result)[0]
+        first = result.source_counts[0] / result.pop_per_task
         tol = 3 * np.sqrt(0.25 / 200)
         assert abs(first[0, 1] - 0.5) <= tol
         assert abs(first[1, 0] - 0.5) <= tol

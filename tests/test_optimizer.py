@@ -11,15 +11,14 @@ from mtpso.benchmarks import make_task
 from mtpso.core import ALGORITHMS, MtoProblem, RunConfig, evaluate_task
 from mtpso.optimizer import (
     NonFiniteFitnessError,
+    _bounce,
+    _move_swarm,
     evaluate_and_update,
     inertia_weight,
     init_swarm,
     run,
     run_batch,
     run_generation,
-    step_position,
-    velocity_s1,
-    velocity_s2,
 )
 
 
@@ -41,172 +40,205 @@ class TestInertiaWeight:
         assert inertia_weight(1, 1, 0.9, 0.4) == 0.9
 
 
+class ConstantDraws:
+    """Stands in for a velocity stream: every draw is ``r``."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def random(self, out):
+        out.fill(self.r)
+
+
+def move_particle(algorithm, x, v, pbest, g_own, g_src, w, source=1, r=0.5, **coeffs):
+    """One ``_move_swarm`` step of task 0's only particle in a two-task,
+    one-dimensional swarm whose draws all equal ``r``. Task 0's swarm best
+    is ``g_own``, task 1's is ``g_src``, and task 0 picks ``source`` (0 is
+    its own task). Returns the particle's new (x, v)."""
+    problem = MtoProblem(tasks=(make_task("sphere", 1, 0), make_task("sphere", 1, 1)))
+    state = init_swarm(problem, RunConfig(algorithm=algorithm, pop_per_task=1, **coeffs))
+    state.positions[0], state.velocities[0], state.pbest_pos[0] = x, v, pbest
+    state.gbest_pos[:] = [[g_own], [g_src]]
+    state.probs[0] = np.eye(2)[source]
+    state.vel_rngs = [ConstantDraws(r)] * 2
+    _move_swarm(state, w)
+    assert state.last_source[0, 0] == source
+    return state.positions[0, 0, 0], state.velocities[0, 0, 0]
+
+
 class TestVelocityRules:
+    """Hand-worked moves through ``_move_swarm``: with every draw r, S1 moves
+    by w·v + c1·r·(pbest − x) + c2·r·(g_own − x) + c3·r·(g_src − x) and S2
+    by w·v + c1·r·(pbest − x) + c2·r·(g_src − x)."""
+
     def test_fixed_point(self):
-        x = np.array([0.3, 0.7])
-        v = np.zeros(2)
-        out = velocity_s1(v, x, x, x, x, 0.5, 1.1, 1.1, 1.1, 0.5, 0.5, 0.5)
-        assert np.allclose(out, 0.0)
+        x, v = move_particle("samtpso-s1", 0.3, 0.0, 0.3, 0.3, 0.3, w=0.5)
+        assert (x, v) == (0.3, 0.0)
 
     def test_s1_hand_arithmetic(self):
-        out = velocity_s1(
-            v=0.2, x=1.0, pbest=1.0, gbest_own=1.0, gbest_src=2.0,
-            w=0.5, c1=1.0, c2=1.0, c3=1.0, r1=1.0, r2=1.0, r3=1.0,
-        )
-        assert out == pytest.approx(1.1)
+        x, v = move_particle("samtpso-s1", 0.4, 0.2, 0.5, 0.6, 0.3, w=0.5, c1=1.0, c2=1.0, c3=1.0)
+        assert v == pytest.approx(0.1 + 0.05 + 0.1 - 0.05)
+        assert x == pytest.approx(0.6)
 
     def test_s2_hand_arithmetic(self):
-        out = velocity_s2(v=0.2, x=1.0, pbest=1.0, gbest_src=2.0,
-                          w=0.5, c1=1.0, c2=1.0, r1=1.0, r2=1.0)
-        assert out == pytest.approx(1.1)
+        x, v = move_particle("samtpso-s2", 0.4, 0.2, 0.5, 0.6, 0.3, w=0.5, c1=1.0, c2=1.0)
+        assert v == pytest.approx(0.1 + 0.05 - 0.05)
+        assert x == pytest.approx(0.5)
 
     def test_s1_collapses_when_source_is_own(self):
-        """The bare formula with a scalar c3; the optimizer itself passes
-        c3 = 0 for self-choices (see TestS1SelfChoice)."""
-        rng = np.random.default_rng(0)
-        v, x, pb, gb = rng.random((4, 6))
-        r1, r2, r3 = rng.random((3, 6))
-        four_term = velocity_s1(v, x, pb, gb, gb, 0.7, 1.1, 1.1, 1.1, r1, r2, r3)
-        merged = 0.7 * v + 1.1 * r1 * (pb - x) + (1.1 * r2 + 1.1 * r3) * (gb - x)
-        assert np.allclose(four_term, merged, rtol=1e-12)
+        """A self-choice drops the c3 term, whatever c3 is."""
+        x, v = move_particle("samtpso-s1", 0.4, 0.02, 0.45, 0.35, 0.9, w=0.7, source=0, r=0.3, c3=5.0)
+        expected = 0.7 * 0.02 + 1.1 * 0.3 * (0.45 - 0.4) + 1.1 * 0.3 * (0.35 - 0.4)
+        assert v == pytest.approx(expected, rel=1e-12)
+        assert x == pytest.approx(0.4 + expected, rel=1e-12)
 
     def test_s2_with_own_source_equals_pso(self):
-        rng = np.random.default_rng(1)
-        v, x, pb, gb = rng.random((4, 6))
-        r1, r2 = rng.random((2, 6))
-        assert np.allclose(
-            velocity_s2(v, x, pb, gb, 0.6, 1.494, 1.494, r1, r2),
-            0.6 * v + 1.494 * r1 * (pb - x) + 1.494 * r2 * (gb - x),
-        )
+        s2 = move_particle("samtpso-s2", 0.4, 0.02, 0.45, 0.35, 0.9, w=0.6, source=0, r=0.3)
+        pso = move_particle("pso", 0.4, 0.02, 0.45, 0.35, 0.9, w=0.6, source=0, r=0.3)
+        assert s2 == pso
+        assert s2[1] == pytest.approx(0.6 * 0.02 + 1.494 * 0.3 * 0.05 - 1.494 * 0.3 * 0.05, abs=1e-15)
 
     def test_zero_coefficients_leave_inertia(self):
-        v = np.array([0.4, -0.2])
-        x = np.array([0.1, 0.9])
-        out = velocity_s2(v, x, x + 1, x + 2, 0.5, 0.0, 0.0, 0.3, 0.7)
-        assert np.allclose(out, 0.5 * v)
+        for algorithm in ("samtpso-s1", "samtpso-s2"):
+            x, v = move_particle(algorithm, 0.1, 0.4, 0.9, 0.8, 0.7, w=0.5, c1=0.0, c2=0.0, c3=0.0)
+            assert v == 0.5 * 0.4
+            assert x == pytest.approx(0.3)
 
 
 class TestS1SelfChoice:
     """A particle whose chosen source is its own task does no transfer: S1
-    moves it with the three-term rule (c1, c2) and drops the c3 term."""
+    moves it with the three-term rule (c1, c2) and drops the c3 term, and S2
+    steers it toward its own swarm best. A PSO cell's particles always pick
+    their own task. Every row of the batch (``ALGORITHMS``, one per cell) is
+    replayed from a copy of its velocity stream; the subclasses run the same
+    checks on S2 and on an S2 cell next to a PSO cell."""
+
+    ALGORITHMS = ("samtpso-s1",)
 
     def step_and_check(self, force_focus):
-        """Step one S1 generation, replaying r1, r2, r3 from a copy of each
-        task's velocity stream, and return each task's mask of particles
-        that chose another task."""
-        cfg = RunConfig(algorithm="samtpso-s1", pop_per_task=40, seed=11, max_gens=50, lp=30)
-        state = init_swarm(small_problem(), cfg)
+        """Step one generation, check each row's closed-form move, and return
+        each row's (transfers, mask of particles that chose another task)."""
+        configs = [
+            RunConfig(algorithm=a, pop_per_task=40, seed=11 + c, max_gens=50, lp=30)
+            for c, a in enumerate(self.ALGORITHMS)
+        ]
+        state = init_swarm(small_problem(), configs)
         for _ in range(4):
             run_generation(state)
-        state.focus[:] = force_focus
-        gbest_mat = state.gbest_pos.copy()
+        state.focus[:] = force_focus | ~state.transfer
+        cfg, cells = state.config, state.cells
+        gbest = state.gbest_pos.copy()
         before = [
-            (state.positions[t].copy(), state.velocities[t].copy(), state.pbest_pos[t].copy(),
-             copy.deepcopy(state.vel_rngs[t]))
-            for t in range(2)
+            (state.positions[row].copy(), state.velocities[row].copy(), state.pbest_pos[row].copy(),
+             copy.deepcopy(state.vel_rngs[row]))
+            for row in range(len(gbest))
         ]
         run_generation(state)
         w = inertia_weight(state.generation, cfg.max_gens, cfg.w_start, cfg.w_end)
         masks = []
-        for t, (x, v, pb, rng) in enumerate(before):
-            shape = x.shape
-            r1, r2, r3 = rng.random(shape), rng.random(shape), rng.random(shape)
-            three_term = w * v + cfg.c1 * r1 * (pb - x) + cfg.c2 * r2 * (gbest_mat[t] - x)
-            other = (state.last_source[t] != t)[:, None]
-            source_term = cfg.c3 * r3 * (gbest_mat[state.last_source[t]] - x)
-            expected = three_term + np.where(other, source_term, 0.0)
-            exp_x, exp_v = step_position(x, expected)
-            assert np.allclose(state.velocities[t], exp_v, rtol=1e-12, atol=1e-15)
-            assert np.allclose(state.positions[t], exp_x, rtol=1e-12, atol=1e-15)
-            masks.append(other)
+        for row, (x, v, pb, rng) in enumerate(before):
+            t, c = divmod(row, cells)
+            source = state.last_source[row]
+            other = (source != t)[:, None]
+            g_src = gbest[source * cells + c]
+            if cfg.algorithm == "samtpso-s1":
+                r1, r2, r3 = rng.random((3, *x.shape))
+                expected = w * v + cfg.c1 * r1 * (pb - x) + cfg.c2 * r2 * (gbest[row] - x)
+                expected += np.where(other, cfg.c3 * r3 * (g_src - x), 0.0)
+            else:
+                r1, r2 = rng.random((2, *x.shape))
+                expected = w * v + cfg.c1 * r1 * (pb - x) + cfg.c2 * r2 * (g_src - x)
+            exp_x = x + expected
+            _bounce(exp_x, expected)
+            assert np.allclose(state.velocities[row], expected, rtol=1e-12, atol=1e-15)
+            assert np.allclose(state.positions[row], exp_x, rtol=1e-12, atol=1e-15)
+            masks.append((state.transfer[row], other))
         return masks
 
     def test_focus_uses_three_term_rule(self):
-        for other in self.step_and_check(force_focus=True):
+        for _, other in self.step_and_check(force_focus=True):
             assert not other.any()
 
     def test_only_other_task_choices_carry_source_term(self):
-        for other in self.step_and_check(force_focus=False):
-            assert other.any() and not other.all()
+        for transfers, other in self.step_and_check(force_focus=False):
+            assert (other.any() and not other.all()) if transfers else not other.any()
+
+
+class TestS2SelfChoice(TestS1SelfChoice):
+    ALGORITHMS = ("samtpso-s2",)
+
+
+class TestS2AndPsoBatchSelfChoice(TestS1SelfChoice):
+    """Two cells (C = 2): the source gather stays within each cell."""
+
+    ALGORITHMS = ("samtpso-s2", "pso")
+
+
+def step(x, v):
+    """x + v, bounced by ``_bounce`` on copies: returns the new (x, v) and
+    whether any entry bounced."""
+    x, v = np.asarray(x, dtype=float) + v, np.array(v, dtype=float)
+    return x, v, _bounce(x, v)
 
 
 class TestStackedEqualsPerTask:
-    """The move on (K, N, D) arrays equals K per-task calls bit for bit."""
+    """The bounce on (K, N, D) arrays equals K per-task calls bit for bit."""
 
     K, N, D = 4, 7, 5
 
-    def arrays(self, seed):
-        rng = np.random.default_rng(seed)
-        x, pb = rng.random((2, self.K, self.N, self.D))
-        v = rng.uniform(-0.5, 0.5, (self.K, self.N, self.D))
-        gbest = rng.random((self.K, self.D))
-        iks = rng.integers(0, self.K, (self.K, self.N))
-        r1, r2, r3 = rng.random((3, self.K, self.N, self.D))
-        return x, v, pb, gbest, iks, r1, r2, r3
-
-    def test_velocity_s1_with_per_row_c3(self):
-        for seed in range(5):
-            x, v, pb, gbest, iks, r1, r2, r3 = self.arrays(seed)
-            own = np.arange(self.K)[:, None]
-            c3 = np.where(iks == own, 0.0, 1.1)[..., None]
-            stacked = velocity_s1(v, x, pb, gbest[:, None, :], gbest[iks], 0.7, 1.1, 1.1, c3, r1, r2, r3)
-            for t in range(self.K):
-                c3_t = np.where(iks[t] == t, 0.0, 1.1)[:, None]
-                one = velocity_s1(v[t], x[t], pb[t], gbest[t], gbest[iks[t]], 0.7, 1.1, 1.1, c3_t,
-                                  r1[t], r2[t], r3[t])
-                assert np.array_equal(stacked[t], one)
-
     def test_step_position_when_only_some_tasks_bounce(self):
         for seed in range(5):
-            x, v, *_ = self.arrays(seed)
-            x = 0.25 + 0.5 * x
+            rng = np.random.default_rng(seed)
+            x = 0.25 + 0.5 * rng.random((self.K, self.N, self.D))
+            v = rng.uniform(-0.5, 0.5, (self.K, self.N, self.D))
             v[::2] *= 0.4  # tasks 0 and 2 stay inside the box
             v[1, 0, 0] = 3.7
-            x_all, v_all = step_position(x, v)
+            x_all, v_all, any_bounced = step(x, v)
             bounced = []
-            for t, v_in in enumerate(v):
-                x_t, v_t = step_position(x[t], v_in)
+            for t in range(self.K):
+                x_t, v_t, bounced_t = step(x[t], v[t])
                 assert np.array_equal(x_all[t], x_t) and np.array_equal(v_all[t], v_t)
-                bounced.append(v_t is not v_in)
-            assert bounced[1] and not bounced[0] and not bounced[2]
+                bounced.append(bounced_t)
+            assert any_bounced and bounced[1] and not bounced[0] and not bounced[2]
 
 
 class TestStepPosition:
     def test_interior_move_keeps_velocity(self):
-        x, v = step_position(np.array([0.5]), np.array([0.2]))
+        x, v, bounced = step([0.5], [0.2])
         assert x[0] == pytest.approx(0.7)
-        assert v[0] == pytest.approx(0.2)
+        assert v[0] == 0.2 and not bounced
 
     def test_overshoot_reflects_and_damps(self):
-        x, v = step_position(np.array([0.9]), np.array([0.3]))
+        x, v, bounced = step([0.9], [0.3])
         assert x[0] == pytest.approx(0.8)  # bounced off 1.0
-        assert v[0] == pytest.approx(-0.15)
+        assert v[0] == pytest.approx(-0.15) and bounced
 
     def test_undershoot_reflects(self):
-        x, v = step_position(np.array([0.1]), np.array([-0.3]))
+        x, v, bounced = step([0.1], [-0.3])
         assert x[0] == pytest.approx(0.2)
-        assert v[0] == pytest.approx(0.15)
+        assert v[0] == pytest.approx(0.15) and bounced
 
     def test_multi_width_overshoot_stays_inside(self):
-        x, v = step_position(np.array([0.0]), np.array([3.7]))
+        x, v, bounced = step([0.0], [3.7])
         assert x[0] == pytest.approx(0.3)
         assert 0.0 <= x[0] <= 1.0
+        assert v[0] == pytest.approx(-1.85) and bounced
 
     def test_zero_velocity_is_noop(self):
-        x, v = step_position(np.array([0.25, 0.75]), np.zeros(2))
+        x, v, bounced = step([0.25, 0.75], np.zeros(2))
         assert np.array_equal(x, [0.25, 0.75])
+        assert np.array_equal(v, [0.0, 0.0]) and not bounced
 
     def test_exact_boundary_landing_keeps_velocity(self):
-        x, v = step_position(np.array([0.5]), np.array([0.5]))
+        x, v, bounced = step([0.5], [0.5])
         assert x[0] == 1.0
-        assert v[0] == 0.5
+        assert v[0] == 0.5 and not bounced
 
     def test_batch(self):
         rng = np.random.default_rng(5)
-        x = rng.random((40, 7))
-        v = rng.uniform(-2, 2, (40, 7))
-        x2, _ = step_position(x, v)
+        x2, v2, bounced = step(rng.random((40, 7)), rng.uniform(-2, 2, (40, 7)))
         assert np.all(x2 >= 0.0) and np.all(x2 <= 1.0)
+        assert bounced and np.all(np.abs(v2) <= 2.0)
 
 
 class TestInitSwarm:
@@ -266,11 +298,11 @@ class TestEvaluateAndUpdate:
         pbest_fit = np.array([fits[0] + 1.0, fits[1] + 1.0, fits[2] - 1.0])
         state = self.make_state(positions, pbest_fit, [0, 1, 1], problem)
         evaluate_and_update(state)
-        ns, nf = state.mem.columns()
-        assert ns[-1, 0].sum() == 2
-        assert nf[-1, 0].sum() == 1
-        assert np.array_equal(ns[-1, 0], [1, 1])
-        assert np.array_equal(nf[-1, 0], [0, 1])
+        ns, nf = state.mem.success_sums(), state.mem.failure_sums()  # the window holds this generation alone
+        assert ns[0].sum() == 2
+        assert nf[0].sum() == 1
+        assert np.array_equal(ns[0], [1, 1])
+        assert np.array_equal(nf[0], [0, 1])
 
     def test_tie_counts_as_failure(self):
         problem = small_problem()
@@ -280,8 +312,8 @@ class TestEvaluateAndUpdate:
         state = self.make_state(positions, [fit], [0], problem)
         old_pbest = state.pbest_pos[0].copy()
         evaluate_and_update(state)
-        ns, nf = state.mem.columns()
-        assert ns[-1, 0].sum() == 0 and nf[-1, 0].sum() == 1
+        ns, nf = state.mem.success_sums(), state.mem.failure_sums()
+        assert ns[0].sum() == 0 and nf[0].sum() == 1
         assert np.array_equal(state.pbest_pos[0], old_pbest)
 
     def test_gbest_updated_to_subpop_min(self):
