@@ -10,14 +10,7 @@ from .core import (
     encode,
     evaluate_task,
 )
-from .benchmarks import (
-    FromFiles,
-    GeneratedSeeded,
-    SuiteSpec,
-    base_eval,
-    build_suite,
-    make_task,
-)
+from .benchmarks import SuiteSpec, build_suite, make_task
 from .adaptation import (
     MemoryWindow,
     choose_sources,
@@ -25,7 +18,7 @@ from .adaptation import (
     update_probabilities,
 )
 from .optimizer import RunResult, SwarmState, init_swarm, run, run_batch
-from .metrics import FevTable, TransferStats, format_cell, score, transfer_rates
+from .metrics import format_cell, score, transfer_rates
 from .harness import ExperimentSpec, derive_seed, execute, parse_experiment, run_experiment
 
 __version__ = "0.1.0"
@@ -33,9 +26,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGORITHMS",
     "ExperimentSpec",
-    "FevTable",
-    "FromFiles",
-    "GeneratedSeeded",
     "MemoryWindow",
     "MtoProblem",
     "RunConfig",
@@ -43,8 +33,6 @@ __all__ = [
     "SuiteSpec",
     "SwarmState",
     "TaskDef",
-    "TransferStats",
-    "base_eval",
     "build_suite",
     "choose_sources",
     "decode",

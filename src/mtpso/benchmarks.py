@@ -1,11 +1,12 @@
-"""Classical base functions and factories for the two benchmark suites.
+"""Base functions and factories for the two benchmark suites.
 
-Every generated task is ``base(R (z - shift))`` with the base function
-re-centered so the global optimum is at ``z = shift`` with value exactly 0
-(for Rosenbrock and Schwefel, whose canonical optima are away from the
-origin, the canonical optimum is translated onto the shift; rotated
-Schwefel additionally gets the usual quadratic boundary penalty outside
-+-500 so no deeper minimum exists inside the search box).
+Every base function is registered in its task frame: its global minimum is
+exactly 0 at the origin. A generated task is ``base(R (z - shift))``, so
+its optimum sits at ``z = shift`` with value 0. Rosenbrock and Schwefel,
+whose textbook optima lie away from the origin, are translated so that
+those optima fall on it; Schwefel also gets the usual quadratic boundary
+penalty outside +-500, so a rotated task has no deeper minimum inside its
+search box.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def sphere(y):
 
 
 def rosenbrock(y):
-    y = np.asarray(y, dtype=float)
+    y = np.asarray(y, dtype=float) + 1.0
     a, b = y[..., :-1], y[..., 1:]
     return np.sum(100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2, axis=-1)
 
@@ -99,12 +100,6 @@ def weierstrass(y):
     return np.sum(_weierstrass_series(2.0 * np.pi * (y + 0.5)), axis=-1) - d * _WEIERSTRASS_BIAS
 
 
-def schwefel(y):
-    y = np.asarray(y, dtype=float)
-    d = y.shape[-1]
-    return 418.9829 * d - np.sum(y * np.sin(np.sqrt(np.abs(y))), axis=-1)
-
-
 def _schwefel_bounded(y):
     # Standard boundary treatment for the rotated variant: fold arguments
     # beyond +-500 back toward the boundary and add a quadratic penalty, so
@@ -123,42 +118,36 @@ def _schwefel_bounded(y):
     return 418.9829 * d - np.sum(g, axis=-1)
 
 
-def _schwefel_task(y):
+def schwefel(y):
     y = np.asarray(y, dtype=float)
     d = y.shape[-1]
     return _schwefel_bounded(y + SCHWEFEL_OPT) - d * _SCHWEFEL_RESIDUAL
-
-
-def _rosenbrock_task(y):
-    return rosenbrock(np.asarray(y, dtype=float) + 1.0)
 
 
 @dataclass(frozen=True)
 class BaseSpec:
     """A registered base function and its canonical box."""
 
-    name: str
     fn: Callable[[np.ndarray], np.ndarray]
     lower: float
     upper: float
-    task_fn: Callable[[np.ndarray], np.ndarray]
 
 
 _REGISTRY: dict[str, BaseSpec] = {}
 
 
-def register_base(name: str, fn, lower: float, upper: float, task_fn=None) -> None:
-    """Register a base function; ``task_fn`` must have its global minimum 0
-    at the origin (defaults to ``fn`` for origin-centered functions)."""
-    _REGISTRY[name] = BaseSpec(name, fn, float(lower), float(upper), task_fn or fn)
+def register_base(name: str, fn, lower: float, upper: float) -> None:
+    """Register a base function; ``fn`` must have its global minimum 0 at
+    the origin."""
+    _REGISTRY[name] = BaseSpec(fn, float(lower), float(upper))
 
 
 register_base("sphere", sphere, -100, 100)
 register_base("griewank", griewank, -100, 100)
-register_base("rosenbrock", rosenbrock, -50, 50, task_fn=_rosenbrock_task)
+register_base("rosenbrock", rosenbrock, -50, 50)
 register_base("rastrigin", rastrigin, -50, 50)
 register_base("ackley", ackley, -50, 50)
-register_base("schwefel", schwefel, -500, 500, task_fn=_schwefel_task)
+register_base("schwefel", schwefel, -500, 500)
 register_base("weierstrass", weierstrass, -0.5, 0.5)
 
 
@@ -169,15 +158,9 @@ def base_spec(name: str) -> BaseSpec:
         raise KeyError(f"unknown base function {name!r}; known: {sorted(_REGISTRY)}") from None
 
 
-def base_eval(name: str, y) -> float | np.ndarray:
-    """Evaluate a base function by its classical textbook formula."""
-    out = base_spec(name).fn(y)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def task_eval(name: str, y) -> float | np.ndarray:
     """Evaluate in the task frame: global minimum exactly 0 at y = 0."""
-    out = base_spec(name).task_fn(y)
+    out = base_spec(name).fn(y)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -242,27 +225,9 @@ DEFAULT_SUITE_SEED = 2021
 
 
 @dataclass(frozen=True)
-class GeneratedSeeded:
-    """Generate shifts/rotations from a seed."""
-
-    seed: int = DEFAULT_SUITE_SEED
-
-
-@dataclass(frozen=True)
-class FromFiles:
-    """Load task data from JSON problem files."""
-
-    path: str
-
-
-DataSource = GeneratedSeeded | FromFiles
-
-
-@dataclass(frozen=True)
 class SuiteSpec:
     suite_id: str
     problems: tuple[MtoProblem, ...]
-    data_source: DataSource
 
     def __post_init__(self):
         if self.suite_id == "suite1":
@@ -308,18 +273,12 @@ def _build_problem(fns, dims, intersection, prob_ss: np.random.SeedSequence) -> 
     return MtoProblem(tasks=tuple(tasks))
 
 
-def build_suite(suite_id: str, data_source: DataSource | None = None) -> SuiteSpec:
-    """Construct the nine problems of a suite, either generated from a seed
-    or loaded from task-data files."""
+def build_suite(suite_id: str, seed: int = DEFAULT_SUITE_SEED) -> SuiteSpec:
+    """Generate the nine problems of a suite from ``seed``; task-data files
+    are read with :func:`load_problem_files`."""
     if suite_id not in SUITE_IDS:
         raise ValueError(f"unknown suite {suite_id!r}; expected one of {SUITE_IDS}")
-    if data_source is None:
-        data_source = GeneratedSeeded()
-    if isinstance(data_source, FromFiles):
-        problems = load_problem_files(data_source.path)
-        return SuiteSpec(suite_id, tuple(problems), data_source)
-
-    master = np.random.SeedSequence(data_source.seed)
+    master = np.random.SeedSequence(seed)
     prob_seeds = master.spawn(9)
     problems = []
     if suite_id == "suite1":
@@ -328,7 +287,7 @@ def build_suite(suite_id: str, data_source: DataSource | None = None) -> SuiteSp
     else:
         for fns, ss in zip(SUITE2_ROWS, prob_seeds):
             problems.append(_build_problem(fns, (50,) * 5, NONE, ss))
-    return SuiteSpec(suite_id, tuple(problems), data_source)
+    return SuiteSpec(suite_id, tuple(problems))
 
 
 # ---------------------------------------------------------------------------

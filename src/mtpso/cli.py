@@ -115,7 +115,7 @@ def cmd_score(args) -> int:
 def cmd_sweep(args) -> int:
     spec = _load_spec(args.config, args.out)
     param = args.param
-    if args.values:
+    if args.values is not None:
         try:
             cast = int if param == "lp" else float
             values = [cast(v) for v in args.values.split(",")]

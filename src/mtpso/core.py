@@ -86,20 +86,16 @@ class MtoProblem:
     """An ordered set of component tasks sharing one unified search space."""
 
     tasks: tuple[TaskDef, ...]
-    unified_dim: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "tasks", tuple(self.tasks))
         if len(self.tasks) < 2:
             raise ValueError("a multi-task problem needs at least 2 tasks")
-        max_dim = max(t.dim for t in self.tasks)
-        if self.unified_dim == 0:
-            object.__setattr__(self, "unified_dim", max_dim)
-        elif self.unified_dim != max_dim:
-            raise ValueError(
-                f"unified_dim must equal the largest task dimension ({max_dim}), "
-                f"got {self.unified_dim}"
-            )
+
+    @property
+    def unified_dim(self) -> int:
+        """D_u, the largest task dimension."""
+        return max(t.dim for t in self.tasks)
 
     @property
     def num_tasks(self) -> int:

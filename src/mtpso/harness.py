@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -223,7 +224,7 @@ def load_config(path) -> dict:
 def resolve_problems(spec: ExperimentSpec) -> list[tuple[int, MtoProblem]]:
     """Problem instances for the spec's suite, keyed by 1-based id."""
     if spec.suite in benchmarks.SUITE_IDS:
-        suite = benchmarks.build_suite(spec.suite, benchmarks.GeneratedSeeded(spec.suite_seed))
+        suite = benchmarks.build_suite(spec.suite, seed=spec.suite_seed)
         problems = list(suite.problems)
     else:
         problems = benchmarks.load_problem_files(spec.suite)
@@ -492,8 +493,10 @@ def run_experiment(
 
 def read_results_csv(path):
     """Parse a results file into {algorithm: {problem: {(task, run): fev}}},
-    preserving first-appearance algorithm order."""
+    preserving first-appearance algorithm order. A non-finite value or a
+    repeated (algorithm, problem, task, run) is a ConfigError."""
     data: dict[str, dict[int, dict[tuple[int, int], float]]] = {}
+    first_line: dict[tuple, int] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -509,6 +512,14 @@ def read_results_csv(path):
                 pid = int(problem)
             except ValueError as exc:
                 raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
+            if not math.isfinite(value):
+                raise ConfigError(f"{path}: line {lineno}: final_fev must be finite, got {final_fev!r}")
+            first = first_line.setdefault((algorithm, pid, key), lineno)
+            if first != lineno:
+                raise ConfigError(
+                    f"{path}: lines {first} and {lineno} both give algorithm {algorithm!r}, "
+                    f"problem {pid}, task {key[0]}, run {key[1]}"
+                )
             data.setdefault(algorithm, {}).setdefault(pid, {})[key] = value
     if not data:
         raise ConfigError(f"{path}: no result rows")

@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 from mtpso import benchmarks
 from mtpso.benchmarks import (
     BenchmarkDataError,
-    FromFiles,
-    GeneratedSeeded,
     SuiteSpec,
-    base_eval,
     build_suite,
     load_problem_files,
     make_task,
@@ -25,23 +22,25 @@ from mtpso.core import MtoProblem, encode, evaluate_task
 
 class TestBaseFunctions:
     def test_sphere_minimum(self):
-        assert base_eval("sphere", np.zeros(10)) == 0.0
+        assert task_eval("sphere", np.zeros(10)) == 0.0
 
     def test_rosenbrock_minimum_at_ones(self):
-        assert base_eval("rosenbrock", np.ones(5)) == 0.0
+        # the task form is the textbook function at y + 1, whose minimum
+        # lies at ones
+        assert task_eval("rosenbrock", np.zeros(5)) == 0.0
 
     def test_ackley_minimum(self):
-        assert base_eval("ackley", np.zeros(50)) == pytest.approx(0.0, abs=1e-9)
+        assert task_eval("ackley", np.zeros(50)) == pytest.approx(0.0, abs=1e-9)
 
     def test_griewank_minimum(self):
-        assert base_eval("griewank", np.zeros(7)) == 0.0
+        assert task_eval("griewank", np.zeros(7)) == 0.0
 
     def test_rastrigin_hand_value(self):
         # per dimension at y=1: 1 - 10*cos(2pi) + 10 = 1
-        assert base_eval("rastrigin", np.ones(2)) == pytest.approx(2.0, rel=1e-12)
+        assert task_eval("rastrigin", np.ones(2)) == pytest.approx(2.0, rel=1e-12)
 
     def test_weierstrass_minimum_exact(self):
-        assert base_eval("weierstrass", np.zeros(10)) == 0.0
+        assert task_eval("weierstrass", np.zeros(10)) == 0.0
 
     def test_weierstrass_series_in_place_matches_expression(self):
         # the in-place recurrence keeps the bits of the expression form
@@ -102,7 +101,7 @@ class TestBaseFunctions:
         rng = np.random.default_rng(3)
         for _ in range(20):
             y = rng.uniform(-0.7, 0.7, 6)
-            assert base_eval("weierstrass", y) == pytest.approx(direct(y), abs=1e-5)
+            assert task_eval("weierstrass", y) == pytest.approx(direct(y), abs=1e-5)
 
     def test_schwefel_constant_via_minimization(self):
         # the canonical optimum location, confirmed by numeric minimization
@@ -112,14 +111,16 @@ class TestBaseFunctions:
             lambda y: -(y * np.sin(np.sqrt(y))), bounds=(400, 440), method="bounded"
         )
         assert res.x == pytest.approx(420.9687, abs=1e-3)
-        assert base_eval("schwefel", np.full(10, 420.9687)) == pytest.approx(0.0, abs=1e-3)
+        assert res.x == pytest.approx(benchmarks.SCHWEFEL_OPT, abs=1e-3)
+        # the task form is the textbook function at y + SCHWEFEL_OPT
+        assert task_eval("schwefel", np.zeros(10)) == pytest.approx(0.0, abs=1e-3)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(7)
         pts = rng.uniform(-3, 3, (8, 5))
         for name in ("sphere", "rosenbrock", "ackley", "rastrigin", "griewank", "weierstrass", "schwefel"):
-            batch = base_eval(name, pts)
-            single = np.array([base_eval(name, p) for p in pts])
+            batch = task_eval(name, pts)
+            single = np.array([task_eval(name, p) for p in pts])
             assert np.allclose(batch, single, rtol=1e-12)
 
     def test_task_frame_minimum_at_origin(self):
@@ -135,7 +136,7 @@ class TestBaseFunctions:
 
     def test_unknown_function(self):
         with pytest.raises(KeyError, match="unknown base function"):
-            base_eval("camelback", np.zeros(2))
+            task_eval("camelback", np.zeros(2))
 
 
 class TestMakeTask:
@@ -246,9 +247,9 @@ class TestSuite1:
             assert not np.allclose(u1, u2)
 
     def test_deterministic_in_seed(self):
-        a = build_suite("suite1", GeneratedSeeded(7))
-        b = build_suite("suite1", GeneratedSeeded(7))
-        c = build_suite("suite1", GeneratedSeeded(8))
+        a = build_suite("suite1", seed=7)
+        b = build_suite("suite1", seed=7)
+        c = build_suite("suite1", seed=8)
         assert np.array_equal(a.problems[0].tasks[0].shift, b.problems[0].tasks[0].shift)
         assert np.array_equal(a.problems[3].tasks[1].rotation, b.problems[3].tasks[1].rotation)
         assert not np.array_equal(a.problems[0].tasks[0].shift, c.problems[0].tasks[0].shift)
@@ -260,7 +261,7 @@ class TestSuite1:
     def test_suitespec_validates_task_count(self):
         suite = build_suite("suite2")
         with pytest.raises(ValueError, match="exactly 2"):
-            SuiteSpec("suite1", suite.problems, GeneratedSeeded())
+            SuiteSpec("suite1", suite.problems)
 
 
 class TestSuite2:
@@ -285,7 +286,7 @@ class TestSuite2:
 
 class TestProblemFiles:
     def test_round_trip(self, tmp_path):
-        suite = build_suite("suite1", GeneratedSeeded(3))
+        suite = build_suite("suite1", seed=3)
         write_problem_files(suite, tmp_path)
         loaded = load_problem_files(tmp_path)
         assert len(loaded) == 9
@@ -295,16 +296,8 @@ class TestProblemFiles:
                 assert np.array_equal(t_orig.shift, t_back.shift)
                 assert np.array_equal(t_orig.rotation, t_back.rotation)
 
-    def test_build_suite_from_files(self, tmp_path):
-        suite = build_suite("suite1", GeneratedSeeded(3))
-        write_problem_files(suite, tmp_path)
-        again = build_suite("suite1", FromFiles(str(tmp_path)))
-        assert np.array_equal(
-            again.problems[4].tasks[0].shift, suite.problems[4].tasks[0].shift
-        )
-
     def test_single_file_with_problem_list(self, tmp_path):
-        suite = build_suite("suite1", GeneratedSeeded(5))
+        suite = build_suite("suite1", seed=5)
         payload = {"problems": [problem_to_dict(p) for p in suite.problems[:2]]}
         path = tmp_path / "problems.json"
         path.write_text(json.dumps(payload))
@@ -312,7 +305,7 @@ class TestProblemFiles:
         assert len(loaded) == 2
 
     def test_missing_field_reports_location(self, tmp_path):
-        p = problem_to_dict(build_suite("suite1", GeneratedSeeded(1)).problems[0])
+        p = problem_to_dict(build_suite("suite1", seed=1).problems[0])
         del p["tasks"][1]["shift"]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([p]))
@@ -320,7 +313,7 @@ class TestProblemFiles:
             load_problem_files(path)
 
     def test_bad_rotation_shape_reported(self, tmp_path):
-        p = problem_to_dict(build_suite("suite1", GeneratedSeeded(1)).problems[0])
+        p = problem_to_dict(build_suite("suite1", seed=1).problems[0])
         p["tasks"][0]["rotation"] = [[1.0, 0.0]]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([p]))
@@ -328,7 +321,7 @@ class TestProblemFiles:
             load_problem_files(path)
 
     def test_unknown_function_reported(self, tmp_path):
-        p = problem_to_dict(build_suite("suite1", GeneratedSeeded(1)).problems[0])
+        p = problem_to_dict(build_suite("suite1", seed=1).problems[0])
         p["tasks"][0]["fn"] = "banana"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([p]))

@@ -150,13 +150,6 @@ class TestMtoProblem:
         assert p.unified_dim == 5
         assert p.num_tasks == 2
 
-    def test_explicit_wrong_unified_dim_rejected(self):
-        with pytest.raises(ValueError, match="unified_dim"):
-            MtoProblem(
-                tasks=(plain_task(dim=5, shift=[0] * 5), plain_task(dim=3, shift=[0] * 3)),
-                unified_dim=7,
-            )
-
 
 class TestRunConfig:
     def test_defaults_per_algorithm(self):

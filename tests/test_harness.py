@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mtpso import benchmarks, cli, harness, metrics
-from mtpso.benchmarks import GeneratedSeeded, build_suite, make_task, problem_to_dict
+from mtpso.benchmarks import build_suite, make_task, problem_to_dict
 from mtpso.core import MtoProblem, RunConfig
 from mtpso.optimizer import batch_key, run
 from mtpso.harness import (
@@ -161,6 +161,7 @@ class TestResolveProblems:
         a = resolve_problems(parse_experiment({"suite_seed": 1, "problem_ids": [1]}))
         b = resolve_problems(parse_experiment({"suite_seed": 2, "problem_ids": [1]}))
         assert not np.array_equal(a[0][1].tasks[0].shift, b[0][1].tasks[0].shift)
+        assert np.array_equal(a[0][1].tasks[0].shift, build_suite("suite1", seed=1).problems[0].tasks[0].shift)
 
 
 class TestExecute:
@@ -561,6 +562,45 @@ class TestCli:
         assert cli.main(["sweep", "--config", str(cfg_path), "--param", param, f"--values={value}", "--quiet"]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "out").exists()
+
+    def test_sweep_empty_values_exits_2(self, tiny_problems, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(tiny_config(tiny_problems, tmp_path / "out")))
+        assert cli.main(["sweep", "--config", str(cfg_path), "--param", "bp", "--values=", "--quiet"]) == 2
+        assert "--values must be comma-separated" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def two_algorithm_results(tmp_path, a_rows):
+        """A results file on problem 1, task 1: algorithm A's (run, value)
+        rows, then two runs of algorithm B."""
+        rows = ["experiment,algorithm,problem,task,run,seed,final_fev"]
+        rows += [f"x,A,1,1,{run_index},0,{value}" for run_index, value in a_rows]
+        rows += ["x,B,1,1,1,0,2.0", "x,B,1,1,2,0,3.0"]
+        path = tmp_path / "results.csv"
+        path.write_text("\n".join(rows) + "\n")
+        return path
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_score_non_finite_fev_exits_2(self, tmp_path, capsys, value):
+        path = self.two_algorithm_results(tmp_path, [(1, "1.0"), (2, value)])
+        assert cli.main(["score", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "line 3" in err and "finite" in err
+        assert not (tmp_path / "scores.csv").exists()
+
+    def test_score_accepts_slightly_negative_fev(self, tmp_path):
+        # a Schwefel task evaluates to about -8e-13 at its shift
+        path = self.two_algorithm_results(tmp_path, [(1, "-7.96e-13"), (2, "1.0")])
+        assert cli.main(["score", str(path)]) == 0
+        assert (tmp_path / "scores.csv").exists()
+
+    def test_score_duplicate_row_exits_2(self, tmp_path, capsys):
+        path = self.two_algorithm_results(tmp_path, [(1, "1.0"), (1, "9.0"), (2, "2.0")])
+        assert cli.main(["score", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "lines 2 and 3" in err
+        assert not (tmp_path / "scores.csv").exists()
 
     @pytest.fixture()
     def one_task_file(self, tmp_path):

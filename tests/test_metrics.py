@@ -5,14 +5,7 @@ from hypothesis import strategies as st
 
 from mtpso.benchmarks import make_task
 from mtpso.core import MtoProblem, RunConfig
-from mtpso.metrics import (
-    FevTable,
-    TransferStats,
-    format_cell,
-    sci,
-    score,
-    transfer_rates,
-)
+from mtpso.metrics import format_cell, sci, score, transfer_rates
 from mtpso.optimizer import run
 
 
@@ -35,21 +28,21 @@ def brute_force_score(values, ddof=0):
 
 class TestScore:
     def test_worked_example(self):
-        table = FevTable(np.array([[[0.0, 0.0]], [[2.0, 2.0]]]))
-        assert np.allclose(score(table), [-2.0, 2.0], rtol=1e-12)
+        values = np.array([[[0.0, 0.0]], [[2.0, 2.0]]])
+        assert np.allclose(score(values), [-2.0, 2.0], rtol=1e-12)
 
     def test_identical_tables_score_zero(self):
         values = np.tile(np.array([[[1.0, 3.0, 5.0]]]), (4, 1, 1))
-        assert np.allclose(score(FevTable(values)), 0.0)
+        assert np.allclose(score(values), 0.0)
 
     def test_constant_table_scores_zero_with_warning(self):
         with pytest.warns(UserWarning, match="zero spread"):
-            assert np.allclose(score(FevTable(np.full((3, 2, 4), 7.0))), 0.0)
+            assert np.allclose(score(np.full((3, 2, 4), 7.0)), 0.0)
 
     def test_scores_sum_to_zero(self):
         rng = np.random.default_rng(0)
         values = rng.random((4, 3, 6))
-        assert score(FevTable(values)).sum() == pytest.approx(0.0, abs=1e-9)
+        assert score(values).sum() == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
@@ -94,26 +87,23 @@ class TestScore:
         with pytest.raises(ValueError, match="std"):
             score(np.zeros((2, 2, 2)), std="median")
 
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            values = np.zeros((2, 1, 2))
+            values[1, 0, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                score(values)
+
+    def test_rejects_wrong_rank(self):
+        with pytest.raises(ValueError, match="tensor"):
+            score(np.zeros((2, 2)))
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_sum_zero_property(self, seed):
         rng = np.random.default_rng(seed)
         values = rng.random((3, 2, 4)) * 10
         assert score(values).sum() == pytest.approx(0.0, abs=1e-8)
-
-
-class TestFevTable:
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            FevTable(np.array([[[-1.0]]]))
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="finite"):
-            FevTable(np.array([[[np.nan]]]))
-
-    def test_rejects_wrong_rank(self):
-        with pytest.raises(ValueError, match="tensor"):
-            FevTable(np.zeros((2, 2)))
 
 
 def fake_result(best_fevs, counts=None, pop=10, algorithm="samtpso-s1"):
@@ -163,17 +153,13 @@ class TestTransferRates:
         counts = np.zeros((6, 2, 2), dtype=int)
         counts[:, 0, 0] = 10
         counts[:, 1, 1] = 10
-        stats = transfer_rates(fake_result([1.0, 2.0], counts=counts))
-        assert np.allclose(stats.itk, np.eye(2))
+        rates = transfer_rates(fake_result([1.0, 2.0], counts=counts))
+        assert np.allclose(rates, np.eye(2))
 
     def test_mean_over_generations(self):
         counts = np.array([[[10, 0], [0, 10]], [[5, 5], [5, 5]]], dtype=int)
-        stats = transfer_rates(fake_result([1.0, 2.0], counts=counts))
-        assert np.allclose(stats.itk, [[0.75, 0.25], [0.25, 0.75]])
-
-    def test_rows_sum_to_one_validated(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            TransferStats(np.array([[0.5, 0.4], [0.5, 0.5]]))
+        rates = transfer_rates(fake_result([1.0, 2.0], counts=counts))
+        assert np.allclose(rates, [[0.75, 0.25], [0.25, 0.75]])
 
     def test_first_generation_near_uniform_on_real_run(self):
         problem = MtoProblem(tasks=(make_task("sphere", 5, 0), make_task("sphere", 5, 1)))
