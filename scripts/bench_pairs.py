@@ -9,9 +9,10 @@ runs ``python3 bench/run.py --workload W --seed S --seconds T --trace 0``
 N times on each side, in pairs that alternate which side runs first, and
 reads each run's last line of JSON. It writes ``BENCH_<pr>.json``: for
 every end-to-end metric of BENCHMARK.json, each side's runs in pair order,
-their median and quartiles, the ratio of the medians (change / parent) and
-the number of pairs in which the change was better. With ``--tier1`` it
-also times the Tier-1 command once on each side, the change first.
+their median and quartiles, the ratio of the medians (change / parent),
+the number of pairs in which the change was better and a verdict (see
+``verdict``) against the metric's bound in BENCHMARK.json. With ``--tier1``
+it also times the Tier-1 command once on each side, the change first.
 
 Measure with nothing else running: the pairs share the machine.
 """
@@ -84,10 +85,40 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def verdict(summary: dict, better: str, bound: float) -> str:
+    """Read one metric's ``summarize`` output against its bound, a fraction
+    of the parent's median:
+
+    - ``gain``: of at least ten pairs, the change is better in at least nine
+      tenths, and its median is better than the parent's by more than the
+      parent's interquartile range;
+    - ``regressed``: the change's median is worse than the parent's by more
+      than the bound;
+    - ``unresolved``: either side's interquartile range exceeds the bound,
+      unless every run of the change is better than every run of the
+      parent;
+    - ``no worse`` otherwise.
+    """
+    parent, change = summary["parent"], summary["change"]
+    sign = 1.0 if better == "higher" else -1.0
+    gap = sign * (change["median"] - parent["median"])
+    pairs = len(parent["runs"])
+    won = pairs >= 10 and 10 * summary["change_better_in_pairs"] >= 9 * pairs
+    if won and gap > parent["q3"] - parent["q1"]:
+        return "gain"
+    if gap < -bound * abs(parent["median"]):
+        return "regressed"
+    spread = max(side["q3"] - side["q1"] for side in (parent, change))
+    separated = min(sign * c for c in change["runs"]) > max(sign * p for p in parent["runs"])
+    if spread > bound * abs(parent["median"]) and not separated:
+        return "unresolved"
+    return "no worse"
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     pairs = {}
     for item in args.pairs:
         name, _, n = item.partition("=")
@@ -120,9 +151,10 @@ def main(argv=None) -> int:
                 "correct": all(r["correct"] for r in all_runs),
                 "failed_cells": sum(r["failed"] for r in all_runs),
             }
-            for metric, better in metrics.items():
+            for metric, (better, bound) in metrics.items():
                 values = {side: [r["metrics"][metric]["value"] for r in rs] for side, rs in runs.items()}
                 entry[metric] = summarize(values["parent"], values["change"], better)
+                entry[metric]["verdict"] = verdict(entry[metric], better, bound)
             out["workloads"][workload] = entry
         if args.tier1:
             out["tier1"] = {"command": "PYTHONPATH=src " + " ".join(["python"] + TIER1[1:])}

@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute an experiment grid")
     p_run.add_argument("--config", required=True, help="JSON experiment config")
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p_run.add_argument("--jobs", type=int, default=1, help="parallel worker processes (at least 1)")
     p_run.add_argument("--out", default=None, help="override the output directory")
     p_run.add_argument("--quiet", action="store_true")
     p_run.set_defaults(func=cmd_run)

@@ -179,20 +179,21 @@ def encode(z_native: np.ndarray, task: TaskDef, unified_dim: int | None = None) 
     return np.concatenate([u, np.full(pad_shape, 0.5)], axis=-1)
 
 
-def task_frame(x_unified: np.ndarray, task: TaskDef, out: np.ndarray | None = None) -> np.ndarray:
+def task_frame(x_unified: np.ndarray, task: TaskDef) -> np.ndarray:
     """Task-frame coordinates of a unified point or of rows of them: the
-    decoded native point minus the task's shift, rotated.
-
-    Row sets of more than ROTATION_BLOCK multiply-adds are rotated in
-    blocks; each row's product is the same. ``out``, when given, receives
-    the (rows, d) result.
-    """
+    decoded native point minus the task's shift, rotated (rows by
+    :func:`rotate_rows`)."""
     z = decode(x_unified, task) - task.shift
-    rotation = task.rotation.T
     if z.ndim != 2:
-        return z @ rotation
-    if out is None:
-        out = np.empty_like(z)
+        return z @ task.rotation.T
+    return rotate_rows(z, task, np.empty_like(z))
+
+
+def rotate_rows(z: np.ndarray, task: TaskDef, out: np.ndarray) -> np.ndarray:
+    """``z @ task.rotation.T`` for (rows, d) shifted native points, written
+    into ``out``, in blocks of at most ROTATION_BLOCK multiply-adds; each
+    row's product is the same. ``z`` may be a strided view."""
+    rotation = task.rotation.T
     block = max(1, ROTATION_BLOCK // (task.dim * task.dim))
     for i in range(0, len(z), block):
         np.matmul(z[i : i + block], rotation, out=out[i : i + block])

@@ -32,10 +32,12 @@ SCORES_HEADER = ["problem", "algorithm", "score"]
 
 DEFAULT_MASTER_SEED = 986019042187420
 # Elements (K x C x N x D_u) of a batch's stacked positions, for C cells:
-# beyond this the stacked arrays outgrow the caches and the per-cell gain
-# shrinks (measured in CHANGES.md). 20,000 is four suite-1 cells of 2
-# tasks x 50 particles x 50 dimensions.
-BATCH_ELEMENTS = 20_000
+# the knee of the measured time per cell and generation against C (in
+# CHANGES.md); beyond it the stacked arrays outgrow the caches and the
+# per-cell gain stops. 50,000 is ten cells of 2 tasks x 50 particles x 50
+# dimensions (suite 1) or of ten tasks of at most 10 dimensions, and four
+# 5-task 50-D cells (suite 2).
+BATCH_ELEMENTS = 50_000
 SWEEP_GRIDS = {
     "bp": (0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1),
     "lp": (1, 2, 5, 10, 20, 50, 100),
@@ -316,6 +318,11 @@ def _pool_outputs(futures: list, batches: list[list[int]], cells: list):
             future.cancel()
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+
+
 def execute(
     spec: ExperimentSpec,
     jobs: int = 1,
@@ -326,7 +333,10 @@ def execute(
 ) -> list[CellResult]:
     """Run the whole grid; cells come back ordered by (algorithm, problem,
     run) regardless of worker count or batching. ``problems`` is the spec's
-    resolved problem list, loaded here when not given."""
+    resolved problem list, loaded here when not given. ``jobs`` below 1 is
+    a ConfigError; a grid of fewer batches than ``jobs`` starts one worker
+    per batch, and a grid of one batch runs in this process."""
+    _check_jobs(jobs)
     if keep_traces is None:
         keep_traces = spec.write_convergence
     if keep_counts is None:
@@ -343,13 +353,14 @@ def execute(
 
     batches = _batches(cells, jobs)
     tasks = [[cells[i] for i in batch] for batch in batches]
+    workers = min(jobs, len(batches))
     results: list = [None] * len(cells)
     done = 0
     with contextlib.ExitStack() as stack:
-        if jobs <= 1:
+        if workers <= 1:
             outputs = map(_run_batch, tasks)
         else:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             futures = [pool.submit(_run_batch, task) for task in tasks]
             outputs = _pool_outputs(futures, batches, cells)
         for batch, out in zip(batches, outputs):
@@ -389,25 +400,24 @@ def write_results_csv(path, experiment_name: str, cells: list[CellResult]) -> No
                 )
 
 
+def _cell_prefix(cell: CellResult) -> str:
+    """The cell's algorithm, problem and run fields and a trailing comma,
+    through the csv writer so that the label is quoted as it would be in a
+    row of its own. The rest of a row is numbers, which need no quoting."""
+    label = io.StringIO()
+    _writer(label).writerow([cell.algorithm, cell.problem_id, cell.run_index, ""])
+    return label.getvalue()[:-1]
+
+
 def write_convergence_csv(path, cells: list[CellResult]) -> None:
     with open(path, "w", newline="") as fh:
-        out = _writer(fh)
-        out.writerow(CONVERGENCE_HEADER)
+        _writer(fh).writerow(CONVERGENCE_HEADER)
         for cell in cells:
             if cell.trace is None:
                 continue
-            for g in range(cell.trace.shape[0]):
-                for task in range(cell.num_tasks):
-                    out.writerow(
-                        [
-                            cell.algorithm,
-                            cell.problem_id,
-                            cell.run_index,
-                            g + 1,
-                            task + 1,
-                            repr(float(cell.trace[g, task])),
-                        ]
-                    )
+            prefix = _cell_prefix(cell)
+            for g, row in enumerate(cell.trace, start=1):
+                fh.write("".join(f"{prefix}{g},{task},{v!r}\n" for task, v in enumerate(row.tolist(), start=1)))
 
 
 def write_transfer_csv(path, cells: list[CellResult]) -> None:
@@ -417,13 +427,10 @@ def write_transfer_csv(path, cells: list[CellResult]) -> None:
             if cell.source_counts is None:
                 continue
             # a fraction is count / pop_per_task: N + 1 strings, each
-            # formatted once; the label goes through the csv writer so that
-            # it is quoted as it would be in a row of its own
+            # formatted once
             n = cell.pop_per_task
             fractions = [repr(i / n) for i in range(n + 1)]
-            label = io.StringIO()
-            _writer(label).writerow([cell.algorithm, cell.problem_id, cell.run_index, ""])
-            prefix = label.getvalue()[:-1]
+            prefix = _cell_prefix(cell)
             k = cell.num_tasks
             pairs = [f"{task + 1},{source + 1}," for task in range(k) for source in range(k)]
             for g, row in enumerate(cell.source_counts.reshape(-1, k * k), start=2):
@@ -471,6 +478,7 @@ def run_experiment(
     under the spec's output directory; returns that directory.
     ``problems`` is the spec's resolved problem list, loaded here when not
     given; the manifest lists its ids."""
+    _check_jobs(jobs)
     if problems is None:
         problems = resolve_problems(spec)
     spec = replace(spec, problem_ids=tuple(pid for pid, _ in problems))

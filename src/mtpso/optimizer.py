@@ -16,7 +16,7 @@ import numpy as np
 
 from . import adaptation, benchmarks
 from .adaptation import MemoryWindow
-from .core import MtoProblem, RunConfig, TaskDef, task_frame
+from .core import MtoProblem, RunConfig, TaskDef, rotate_rows
 
 
 class NonFiniteFitnessError(FloatingPointError):
@@ -63,7 +63,12 @@ class SwarmState:
     ``bp`` (K·C,) each row's floor. ``transfer[row]`` is False for the rows
     of a no-transfer (PSO) cell, which stay in focus search. Each row draws
     from its own ``select_rngs[row]`` and ``vel_rngs[row]`` streams, cell
-    c's task-t streams, into ``picks[row]`` and ``draws[row]``.
+    c's task-t streams, into ``picks[row]`` and ``draws[row]``; ``draws``
+    holds one velocity term's r at a time, drawn just before that term, so
+    each stream yields its doubles in the order a run alone draws them.
+    Once the move is done, both (K·C, N, D_u) scratch buffers serve the
+    evaluation: ``term`` takes the decoded positions, and ``draws`` holds
+    the task-frame rows of the plan's groups.
     """
 
     problems: tuple[MtoProblem, ...]
@@ -84,9 +89,9 @@ class SwarmState:
     select_rngs: list[np.random.Generator]
     vel_rngs: list[np.random.Generator]
     picks: np.ndarray  # (K·C, N) roulette draws
-    draws: np.ndarray  # (K·C, 2 or 3, N, D_u): r1, r2 (and r3 for S1)
-    term: np.ndarray  # (K·C, N, D_u) scratch for one velocity term
-    plan: list[_Group]
+    draws: np.ndarray  # (K·C, N, D_u): one velocity term's r, then the task frames
+    term: np.ndarray  # (K·C, N, D_u): one velocity term, then the decode
+    plan: _Plan
     generation: int = 1
 
     @property
@@ -164,37 +169,71 @@ class _Group:
     dimension, evaluated by one ``task_eval`` call over ``frame``."""
 
     base_fn: str
-    frame: np.ndarray  # (particles, d) task-frame coordinates, reused
+    frame: np.ndarray  # (particles, d) task-frame coordinates, a view of scratch
     segments: list[tuple[slice, TaskDef, slice]]  # swarm particles, task, frame rows
 
 
-def _evaluation_plan(problems: tuple, n_s: int) -> list[_Group]:
+@dataclass
+class _Plan:
+    """How a stacked swarm is evaluated: every row's decode tables, of
+    shape (K·C, 1, D_u) and zero beyond the row's task dimension, and the
+    groups of segments that share a base function and dimension."""
+
+    lower: np.ndarray
+    width: np.ndarray  # upper − lower
+    shift: np.ndarray
+    groups: list[_Group]
+
+
+def _evaluation_plan(problems: tuple, n_s: int, frames: np.ndarray) -> _Plan:
     """A segment is one task index over a run of adjacent cells on the same
     problem: the particles of rows t·C + c0 to t·C + c1, in the flattened
     (K·C·N, D_u) positions. Segments are grouped by (base function, task
-    dimension)."""
+    dimension), and the groups' frames are consecutive parts of the
+    (K·C, N, D_u) buffer ``frames``, which holds them all since no task
+    dimension exceeds D_u."""
     cells = len(problems)
+    k, d_u = problems[0].num_tasks, problems[0].unified_dim
+    lower, width, shift = np.zeros((3, k * cells, 1, d_u))
+    for c, problem in enumerate(problems):
+        for t, task in enumerate(problem.tasks):
+            row = t * cells + c
+            lower[row, 0, : task.dim] = task.lower
+            width[row, 0, : task.dim] = task.upper - task.lower
+            shift[row, 0, : task.dim] = task.shift
     starts = [c for c in range(cells) if c == 0 or problems[c] is not problems[c - 1]]
     groups: dict = {}
-    for t in range(problems[0].num_tasks):
+    for t in range(k):
         for c0, c1 in zip(starts, starts[1:] + [cells]):
             task = problems[c0].tasks[t]
             segments = groups.setdefault((task.base_fn, task.dim), [])
             at = segments[-1][2].stop if segments else 0
             particles = slice((t * cells + c0) * n_s, (t * cells + c1) * n_s)
             segments.append((particles, task, slice(at, at + (c1 - c0) * n_s)))
-    return [_Group(fn, np.empty((segs[-1][2].stop, d)), segs) for (fn, d), segs in groups.items()]
+    plan = _Plan(lower, width, shift, [])
+    flat, at = frames.reshape(-1), 0
+    for (fn, d), segs in groups.items():
+        size = segs[-1][2].stop * d
+        plan.groups.append(_Group(fn, flat[at : at + size].reshape(-1, d), segs))
+        at += size
+    return plan
 
 
-def _evaluate(plan: list[_Group], problems: tuple, positions: np.ndarray) -> np.ndarray:
-    """Fitness of the stacked positions, one ``task_eval`` call per group of
-    the plan; a NaN or infinite value is an error."""
+def _evaluate(plan: _Plan, problems: tuple, positions: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Fitness of the stacked positions: one decode pass over the whole
+    swarm into ``scratch`` (lower + x·width, then − shift: the operations
+    of :func:`core.decode` and :func:`core.task_frame`, in their order),
+    each segment's rotation, then one ``task_eval`` call per group of the
+    plan. A NaN or infinite value is an error."""
     rows, n_s, d_u = positions.shape
-    x = positions.reshape(-1, d_u)
+    np.multiply(positions, plan.width, out=scratch)
+    scratch += plan.lower
+    scratch -= plan.shift
+    z = scratch.reshape(-1, d_u)
     fit = np.empty(rows * n_s)
-    for group in plan:
+    for group in plan.groups:
         for particles, task, at in group.segments:
-            task_frame(x[particles], task, out=group.frame[at])
+            rotate_rows(z[particles, : task.dim], task, group.frame[at])
         values = benchmarks.task_eval(group.base_fn, group.frame)
         for particles, _, at in group.segments:
             fit[particles] = values[at]
@@ -245,12 +284,12 @@ def init_swarm(problems: Problems, configs: RunConfig | Sequence[RunConfig]) -> 
             np.random.default_rng(init_ss).random(out=positions[row])
             select_rngs[row] = np.random.default_rng(select_ss)
             vel_rngs[row] = np.random.default_rng(vel_ss)
-    plan = _evaluation_plan(problems, n_s)
-    fit = _evaluate(plan, problems, positions)
+    draws, term = np.empty((2, rows, n_s, d_u))
+    plan = _evaluation_plan(problems, n_s, draws)
+    fit = _evaluate(plan, problems, positions, term)
     best = np.argmin(fit, axis=1)
     shared = batch_key(configs[0])
     transfer = np.tile([c.algorithm not in NO_TRANSFER for c in configs], k)
-    n_draws = 3 if shared.algorithm == "samtpso-s1" else 2
     return SwarmState(
         problems=problems,
         configs=configs,
@@ -270,18 +309,21 @@ def init_swarm(problems: Problems, configs: RunConfig | Sequence[RunConfig]) -> 
         select_rngs=select_rngs,
         vel_rngs=vel_rngs,
         picks=np.empty((rows, n_s)),
-        draws=np.empty((rows, n_draws, n_s, d_u)),
-        term=np.empty((rows, n_s, d_u)),
+        draws=draws,
+        term=term,
         plan=plan,
     )
 
 
-def _add_term(v, term, coeff, draw) -> None:
-    """v += (coeff * draw) * term, in place; ``draw`` and ``term`` are
-    overwritten."""
-    draw *= coeff
-    term *= draw
-    v += term
+def _add_term(state: SwarmState, term: np.ndarray, coeff) -> None:
+    """v += (coeff * r) * term, in place, with r every row's next draw from
+    its velocity stream; ``term`` is overwritten."""
+    r = state.draws
+    for rng, out in zip(state.vel_rngs, r):
+        rng.random(out=out)
+    r *= coeff
+    term *= r
+    state.velocities += term
 
 
 def _move_swarm(state: SwarmState, w: float) -> None:
@@ -302,30 +344,28 @@ def _move_swarm(state: SwarmState, w: float) -> None:
     where the c3 term transfers knowledge and is dropped (c3 = 0) for a
     particle whose source is its own task. Then x <- x + v and
     :func:`_bounce`. The terms are summed in this order into
-    ``state.velocities``, each draw scaled in place by its coefficient.
+    ``state.velocities``, each term's draws made just before it and scaled
+    in place by its coefficient.
     """
     config = state.config
     for row in np.flatnonzero(~state.focus):
         state.select_rngs[row].random(out=state.picks[row])
     state.last_source = adaptation.choose_sources(state.probs, state.focus, state.picks)
-    for row, rng in enumerate(state.vel_rngs):
-        rng.random(out=state.draws[row])
-    r = state.draws
     x, v, term = state.positions, state.velocities, state.term
     # the source task's row in the same cell
     src = state.last_source * state.cells + (np.arange(len(x)) % state.cells)[:, None]
 
     v *= w
-    _add_term(v, np.subtract(state.pbest_pos, x, out=term), config.c1, r[:, 0])
+    _add_term(state, np.subtract(state.pbest_pos, x, out=term), config.c1)
     if config.algorithm == "samtpso-s1":
-        _add_term(v, np.subtract(state.gbest_pos[:, None, :], x, out=term), config.c2, r[:, 1])
+        _add_term(state, np.subtract(state.gbest_pos[:, None, :], x, out=term), config.c2)
         own = adaptation.row_tasks(len(x), state.probs.shape[1])[:, None]
         c3 = np.where(state.last_source == own, 0.0, config.c3)[..., None]
         np.take(state.gbest_pos, src, axis=0, out=term, mode="clip")
-        _add_term(v, np.subtract(term, x, out=term), c3, r[:, 2])
+        _add_term(state, np.subtract(term, x, out=term), c3)
     else:
         np.take(state.gbest_pos, src, axis=0, out=term, mode="clip")
-        _add_term(v, np.subtract(term, x, out=term), config.c2, r[:, 1])
+        _add_term(state, np.subtract(term, x, out=term), config.c2)
     x += v
     _bounce(x, v)
 
@@ -334,7 +374,7 @@ def evaluate_and_update(state: SwarmState, record_outcomes: bool = True) -> np.n
     """Evaluate every moved particle on its own task, refresh pbest/gbest
     (strict improvement only), and tally outcomes against each particle's
     chosen source. Returns the (K·C, K) source-choice counts when tallying."""
-    fitness = _evaluate(state.plan, state.problems, state.positions)
+    fitness = _evaluate(state.plan, state.problems, state.positions, state.term)
     improved = fitness < state.pbest_fit
     np.copyto(state.pbest_pos, state.positions, where=improved[..., None])
     np.copyto(state.pbest_fit, fitness, where=improved)

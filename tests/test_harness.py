@@ -2,6 +2,7 @@ import csv
 import json
 import multiprocessing
 import os
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -326,13 +327,73 @@ class TestJobsKey:
         assert "jobs" not in json.loads((out / "manifest.json").read_text())
 
 
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """Stands in for the process pool: records each pool's ``max_workers``
+    and runs what is submitted in this process, so no process starts."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    return sizes
+
+
+class TestPoolSize:
+    """``execute`` starts no more workers than the grid has batches, runs a
+    grid of one batch in this process, and rejects fewer than one job."""
+
+    @pytest.mark.parametrize("runs, jobs, workers", [(1, 2, []), (1, 5, []), (2, 5, [2]), (2, 2, [2])])
+    def test_workers_capped_by_batches(self, pool_sizes, tiny_problems, tmp_path, runs, jobs, workers):
+        # S1 on one problem: one group of `runs` cells, split into
+        # min(jobs, runs) batches
+        cfg = tiny_config(tiny_problems, tmp_path / "out", algorithms=["samtpso-s1"], runs=runs, problem_ids=[1])
+        cells = execute(parse_experiment(cfg), jobs=jobs)
+        assert pool_sizes == workers
+        assert [c.run_index for c in cells] == list(range(1, runs + 1))
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_fewer_than_one_job_rejected(self, pool_sizes, tiny_problems, tmp_path, jobs):
+        spec = parse_experiment(tiny_config(tiny_problems, tmp_path / "out"))
+        with pytest.raises(ConfigError, match="jobs must be >= 1"):
+            execute(spec, jobs=jobs)
+        with pytest.raises(ConfigError, match="jobs must be >= 1"):
+            run_experiment(spec, jobs=jobs)
+        assert not (tmp_path / "out").exists() and pool_sizes == []
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_cli_jobs_zero_exits_2(self, pool_sizes, tiny_problems, tmp_path, capsys, command):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(tiny_config(tiny_problems, tmp_path / "out")))
+        extra = ["--param", "lp", "--values", "2"] if command == "sweep" else []
+        assert cli.main([command, "--config", str(cfg_path), "--jobs", "0", "--quiet", *extra]) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert pool_sizes == []
+
+
 class TestTransferCsv:
     def test_rows_match_csv_writer(self, tmp_path):
-        # labels that need quoting keep the csv writer's quoting
+        # labels that need quoting keep the csv writer's quoting, in the
+        # transfer and the convergence file
         rng = np.random.default_rng(4)
+        traces = rng.random((4, 4, 3)) * 10.0 ** rng.integers(-300, 300, (4, 4, 3))
+        traces[0, 0] = [0.0, np.inf, 1e-5]
         cells = [
-            harness.CellResult(label, 3, 2, 0, 3, 7, np.zeros(3), None, rng.integers(0, 8, (4, 3, 3)))
-            for label in ("plain", "a,b", 'say "hi"', "")
+            harness.CellResult(label, 3, 2, 0, 3, 7, np.zeros(3), trace, rng.integers(0, 8, (4, 3, 3)))
+            for label, trace in zip(("plain", "a,b", 'say "hi"', ""), traces)
         ]
         path = tmp_path / "transfer.csv"
         harness.write_transfer_csv(path, cells)
@@ -347,6 +408,16 @@ class TestTransferCsv:
                             frac = cell.source_counts[g, task, source] / cell.pop_per_task
                             row = [cell.algorithm, 3, 2, g + 2, task + 1, source + 1, repr(float(frac))]
                             out.writerow(row)
+        assert path.read_bytes() == expected.read_bytes()
+        path = tmp_path / "convergence.csv"
+        harness.write_convergence_csv(path, cells)
+        with open(expected, "w", newline="") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(harness.CONVERGENCE_HEADER)
+            for cell in cells:
+                for g in range(4):
+                    for task in range(3):
+                        out.writerow([cell.algorithm, 3, 2, g + 1, task + 1, repr(float(cell.trace[g, task]))])
         assert path.read_bytes() == expected.read_bytes()
 
 

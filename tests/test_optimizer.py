@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from mtpso import adaptation, benchmarks
 from mtpso.benchmarks import make_task
-from mtpso.core import ALGORITHMS, MtoProblem, RunConfig, evaluate_task
+from mtpso.core import ALGORITHMS, ROTATION_BLOCK, MtoProblem, RunConfig, evaluate_task
 from mtpso.optimizer import (
     NonFiniteFitnessError,
     _bounce,
+    _evaluate,
+    _evaluation_plan,
     _move_swarm,
     evaluate_and_update,
     inertia_weight,
@@ -492,6 +494,29 @@ class TestBatch:
             alone = init_swarm(small_problem(), config)
             assert np.array_equal(state.positions[c::3], alone.positions)
             assert np.array_equal(state.pbest_fit[c::3], alone.pbest_fit)
+
+
+class TestEvaluate:
+    def test_equals_evaluate_task_per_segment(self):
+        """The one-pass decode and each segment's blocked rotation give the
+        values ``evaluate_task`` gives for the segment's particles: cells 0
+        and 1 share a problem, whose task-0 segment is longer than one
+        rotation block; task 1 has d < D_u; the two problems' task 0 share
+        a (base function, dimension) group."""
+        n, d_u = 60, 50
+        first = MtoProblem(tasks=(make_task("ackley", d_u, 1), make_task("rastrigin", 20, 2)))
+        second = MtoProblem(tasks=(make_task("ackley", d_u, 3), make_task("weierstrass", 7, 4)))
+        problems = (first, first, second)
+        assert 2 * n > ROTATION_BLOCK // d_u**2
+        positions = np.random.default_rng(8).random((2 * len(problems), n, d_u))
+        plan = _evaluation_plan(problems, n, np.empty_like(positions))
+        fit = _evaluate(plan, problems, positions, np.empty_like(positions))
+        for t in range(2):
+            for cells in (slice(0, 2), slice(2, 3)):
+                rows = slice(t * 3 + cells.start, t * 3 + cells.stop)
+                task = problems[cells.start].tasks[t]
+                want = evaluate_task(positions[rows].reshape(-1, d_u), task)
+                assert np.array_equal(fit[rows].ravel(), want)
 
 
 class TestNonFiniteFitness:
