@@ -107,14 +107,11 @@ def _schwefel_bounded(y):
     y = np.asarray(y, dtype=float)
     d = y.shape[-1]
     g = y * np.sin(np.sqrt(np.abs(y)))
-    hi = y > 500.0
-    if np.any(hi):
-        w = 500.0 - np.fmod(y[hi], 500.0)
-        g[hi] = w * np.sin(np.sqrt(np.abs(w))) - (y[hi] - 500.0) ** 2 / (10000.0 * d)
-    lo = y < -500.0
-    if np.any(lo):
-        w = np.fmod(np.abs(y[lo]), 500.0) - 500.0
-        g[lo] = w * np.sin(np.sqrt(np.abs(w))) - (y[lo] + 500.0) ** 2 / (10000.0 * d)
+    out = np.abs(y) > 500.0
+    if np.any(out):
+        a = np.abs(y[out])
+        w = np.copysign(500.0 - np.fmod(a, 500.0), y[out])
+        g[out] = w * np.sin(np.sqrt(np.abs(w))) - (a - 500.0) ** 2 / (10000.0 * d)
     return 418.9829 * d - np.sum(g, axis=-1)
 
 
@@ -172,21 +169,25 @@ def random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * signs
 
 
-def make_task(name: str, dim: int, seed) -> TaskDef:
-    """Build one shifted/rotated task, deterministic in (name, dim, seed)."""
+def _box_task(name: str, dim: int, u_shift: np.ndarray, rotation: np.ndarray) -> TaskDef:
+    """A task on its base function's full box, shifted to the box point at
+    fractions ``u_shift[:dim]`` of the width."""
     spec = base_spec(name)
-    rng = np.random.default_rng(seed)
-    width = spec.upper - spec.lower
-    shift = spec.lower + width * (0.1 + 0.8 * rng.random(dim))
-    rotation = random_rotation(dim, rng)
     return TaskDef(
         base_fn=name,
         dim=dim,
         lower=np.full(dim, spec.lower),
         upper=np.full(dim, spec.upper),
-        shift=shift,
+        shift=spec.lower + (spec.upper - spec.lower) * u_shift[:dim],
         rotation=rotation,
     )
+
+
+def make_task(name: str, dim: int, seed) -> TaskDef:
+    """Build one shifted/rotated task, deterministic in (name, dim, seed)."""
+    rng = np.random.default_rng(seed)
+    u_shift = 0.1 + 0.8 * rng.random(dim)
+    return _box_task(name, dim, u_shift, random_rotation(dim, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -239,21 +240,6 @@ class SuiteSpec:
                     raise ValueError("suite2 problems must have five 50-D tasks")
 
 
-def _task_from_unified_shift(name: str, dim: int, u_shift: np.ndarray, rot_seed) -> TaskDef:
-    spec = base_spec(name)
-    width = spec.upper - spec.lower
-    shift = spec.lower + width * u_shift[:dim]
-    rotation = random_rotation(dim, np.random.default_rng(rot_seed))
-    return TaskDef(
-        base_fn=name,
-        dim=dim,
-        lower=np.full(dim, spec.lower),
-        upper=np.full(dim, spec.upper),
-        shift=shift,
-        rotation=rotation,
-    )
-
-
 def _build_problem(fns, dims, intersection, prob_ss: np.random.SeedSequence) -> MtoProblem:
     k = len(fns)
     unified = max(dims)
@@ -269,7 +255,7 @@ def _build_problem(fns, dims, intersection, prob_ss: np.random.SeedSequence) -> 
             u = np.concatenate([u_base[:shared], 0.1 + 0.8 * shift_rng.random(unified - shared)])
         else:
             u = 0.1 + 0.8 * shift_rng.random(unified)
-        tasks.append(_task_from_unified_shift(name, dim, u, children[t + 1]))
+        tasks.append(_box_task(name, dim, u, random_rotation(dim, np.random.default_rng(children[t + 1]))))
     return MtoProblem(tasks=tuple(tasks))
 
 

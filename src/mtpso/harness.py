@@ -145,6 +145,8 @@ def parse_experiment(cfg: dict, name_default: str = "experiment") -> ExperimentS
     runs = _check_number("runs", cfg.get("runs", 30), integer=True)
     master_seed = _check_number("master_seed", cfg.get("master_seed", DEFAULT_MASTER_SEED), integer=True)
     suite_seed = _check_number("suite_seed", cfg.get("suite_seed", benchmarks.DEFAULT_SUITE_SEED), integer=True)
+    if suite_seed < 0:
+        raise ConfigError(f"field 'suite_seed': expected a non-negative integer, got {suite_seed}")
 
     shared = {}
     for key in _RUNCONFIG_FIELDS:
@@ -326,21 +328,18 @@ def _check_jobs(jobs: int) -> None:
 def execute(
     spec: ExperimentSpec,
     jobs: int = 1,
-    keep_traces: bool | None = None,
-    keep_counts: bool | None = None,
     progress=None,
     problems: list[tuple[int, MtoProblem]] | None = None,
 ) -> list[CellResult]:
     """Run the whole grid; cells come back ordered by (algorithm, problem,
-    run) regardless of worker count or batching. ``problems`` is the spec's
-    resolved problem list, loaded here when not given. ``jobs`` below 1 is
-    a ConfigError; a grid of fewer batches than ``jobs`` starts one worker
-    per batch, and a grid of one batch runs in this process."""
+    run) regardless of worker count or batching, each with its trace only
+    under the spec's ``write_convergence`` and its source counts only under
+    ``write_transfer``. ``problems`` is the spec's resolved problem list,
+    loaded here when not given. ``jobs`` below 1 is a ConfigError; a grid of
+    fewer batches than ``jobs`` starts one worker per batch, and a grid of
+    one batch runs in this process."""
     _check_jobs(jobs)
-    if keep_traces is None:
-        keep_traces = spec.write_convergence
-    if keep_counts is None:
-        keep_counts = spec.write_transfer
+    keep = (spec.write_convergence, spec.write_transfer)
     if problems is None:
         problems = resolve_problems(spec)
     cells = []
@@ -349,7 +348,7 @@ def execute(
             for run_index in range(1, spec.runs + 1):
                 seed = derive_seed(spec.master_seed, label, pid, run_index)
                 cell_config = replace(config, seed=seed)
-                cells.append((label, cell_config, problem, pid, run_index, keep_traces, keep_counts))
+                cells.append((label, cell_config, problem, pid, run_index, *keep))
 
     batches = _batches(cells, jobs)
     tasks = [[cells[i] for i in batch] for batch in batches]

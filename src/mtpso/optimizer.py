@@ -304,7 +304,7 @@ def init_swarm(problems: Problems, configs: RunConfig | Sequence[RunConfig]) -> 
         probs=np.full((rows, k), 1.0 / k),
         focus=~transfer,
         transfer=transfer,
-        mem=MemoryWindow(np.tile([c.lp for c in configs], k), k, rows=rows),
+        mem=MemoryWindow(np.tile([c.lp for c in configs], k), k),
         bp=np.tile([float(c.bp) for c in configs], k),
         select_rngs=select_rngs,
         vel_rngs=vel_rngs,
@@ -370,10 +370,10 @@ def _move_swarm(state: SwarmState, w: float) -> None:
     _bounce(x, v)
 
 
-def evaluate_and_update(state: SwarmState, record_outcomes: bool = True) -> np.ndarray | None:
-    """Evaluate every moved particle on its own task, refresh pbest/gbest
-    (strict improvement only), and tally outcomes against each particle's
-    chosen source. Returns the (K·C, K) source-choice counts when tallying."""
+def evaluate_and_update(state: SwarmState) -> np.ndarray | None:
+    """Evaluate every moved particle on its own task and refresh pbest/gbest
+    (strict improvement only); if any row transfers, commit the outcomes per
+    chosen source to the window and return the (K·C, K) choice counts."""
     fitness = _evaluate(state.plan, state.problems, state.positions, state.term)
     improved = fitness < state.pbest_fit
     np.copyto(state.pbest_pos, state.positions, where=improved[..., None])
@@ -386,14 +386,13 @@ def evaluate_and_update(state: SwarmState, record_outcomes: bool = True) -> np.n
     better = best < state.gbest_fit
     state.gbest_pos[better] = state.positions[rows[better], j[better]]
     state.gbest_fit[better] = best[better]
-    if not record_outcomes:
+    if not state.transfer.any():
         return None
     k = state.probs.shape[1]
     flat = (rows[:, None] * k + state.last_source).ravel()
     counts = np.bincount(flat, minlength=len(rows) * k).reshape(-1, k)
     ns = np.bincount(flat[improved.ravel()], minlength=len(rows) * k).reshape(-1, k)
-    state.mem.record_counts(ns, counts - ns)
-    state.mem.commit_generation()
+    state.mem.commit_generation(ns, counts - ns)
     return counts
 
 
@@ -407,7 +406,7 @@ def run_generation(state: SwarmState) -> np.ndarray | None:
     config = state.config
     w = inertia_weight(state.generation, config.max_gens, config.w_start, config.w_end)
     _move_swarm(state, w)
-    counts = evaluate_and_update(state, record_outcomes=state.transfer.any())
+    counts = evaluate_and_update(state)
     ready = (state.generation > state.mem.lp) & state.transfer
     if ready.any():
         probs = adaptation.update_probabilities(state.mem, state.bp, config.eps)

@@ -54,10 +54,10 @@ def fullscale_cells():
             "max_gens": FULL_GENS,
             "master_seed": ACCEPTANCE_MASTER_SEED,
             "write_convergence": False,
-            "write_transfer": False,
+            "write_transfer": True,
         }
     )
-    return execute(spec, jobs=2, keep_counts=True)
+    return execute(spec, jobs=2)
 
 
 def test_criterion_1_formula_oracles():
@@ -67,10 +67,9 @@ def test_criterion_1_formula_oracles():
         k = int(rng.integers(2, 7))
         ns = rng.integers(0, 60, k)
         nf = rng.integers(0, 60, k)
-        mem = MemoryWindow(10, k)
-        mem.record_counts(ns, nf)
-        mem.commit_generation()
-        got = update_probabilities(mem, bp=0.001, eps=0.001)
+        mem = MemoryWindow([10], k)
+        mem.commit_generation(ns[None], nf[None])
+        got = update_probabilities(mem, bp=0.001, eps=0.001)[0]
         bp, eps = Fraction("0.001"), Fraction("0.001")
         sr = [
             Fraction(int(a)) / (Fraction(int(a)) + Fraction(int(b)) + eps) + bp
@@ -307,7 +306,7 @@ def test_criterion_8_parameter_sweep_sanity():
                 "write_transfer": False,
             }
         )
-        cells = execute(spec, jobs=2, keep_counts=False)
+        cells = execute(spec, jobs=2)
         labels = (f"s1-{param}-{good}", f"s1-{param}-{bad}")
         scores = [metrics.score(fev_table(cells, labels, pid)) for pid in range(1, 10)]
         mean_good, mean_bad = np.mean(scores, axis=0)

@@ -26,13 +26,22 @@ def exact_probabilities(ns_sums, nf_sums, bp="0.001", eps="0.001"):
     return np.array([float(s / total) for s in sr])
 
 
+def one_row(ns_col, nf_col):
+    """A single row's column as a one-row (1, k) stack."""
+    return np.asarray(ns_col)[None], np.asarray(nf_col)[None]
+
+
 def window_with_sums(ns_sums, nf_sums, lp=10):
-    """One committed column carrying the requested totals."""
-    k = len(ns_sums)
-    mem = MemoryWindow(lp, k)
-    mem.record_counts(np.asarray(ns_sums), np.asarray(nf_sums))
-    mem.commit_generation()
+    """A one-row window with one committed column carrying the requested
+    totals."""
+    mem = MemoryWindow([lp], len(ns_sums))
+    mem.commit_generation(*one_row(ns_sums, nf_sums))
     return mem
+
+
+def row_probabilities(ns_sums, nf_sums, bp=0.001, eps=0.001):
+    """The probabilities of a one-row window's only row."""
+    return update_probabilities(window_with_sums(ns_sums, nf_sums), bp, eps)[0]
 
 
 class NaiveWindow:
@@ -49,67 +58,63 @@ class NaiveWindow:
 
 
 def assert_window_sums(mem, naive):
+    """Row 0 of ``mem`` holds the oracle's sums."""
     ns, nf = naive.sums()
-    assert np.array_equal(mem.success_sums(), ns)
-    assert np.array_equal(mem.failure_sums(), nf)
+    assert np.array_equal(mem.success_sums()[0], ns)
+    assert np.array_equal(mem.failure_sums()[0], nf)
 
 
 class TestMemoryWindow:
     def test_first_record_lands_in_column(self):
-        mem, naive = MemoryWindow(5, 3), NaiveWindow(5)
-        mem.record_counts([1, 0, 0], [0, 0, 0])
-        mem.commit_generation()
+        mem, naive = MemoryWindow([5], 3), NaiveWindow(5)
+        mem.commit_generation(*one_row([1, 0, 0], [0, 0, 0]))
         naive.commit([1, 0, 0], [0, 0, 0])
         assert_window_sums(mem, naive)
-        assert np.array_equal(mem.success_sums(), [1, 0, 0])
-        assert np.array_equal(mem.failure_sums(), [0, 0, 0])
+        assert np.array_equal(mem.success_sums(), [[1, 0, 0]])
+        assert np.array_equal(mem.failure_sums(), [[0, 0, 0]])
 
     def test_column_conserves_population(self):
-        mem, naive = MemoryWindow(5, 2), NaiveWindow(5)
+        mem, naive = MemoryWindow([5], 2), NaiveWindow(5)
         rng = np.random.default_rng(0)
         sources, improved = rng.integers(2, size=50), rng.integers(2, size=50).astype(bool)
         ns = np.bincount(sources[improved], minlength=2)
         nf = np.bincount(sources[~improved], minlength=2)
-        mem.record_counts(ns, nf)
-        mem.commit_generation()
+        mem.commit_generation(*one_row(ns, nf))
         naive.commit(ns, nf)
         assert_window_sums(mem, naive)
         assert mem.success_sums().sum() + mem.failure_sums().sum() == 50
 
     def test_ring_eviction_matches_naive_oracle(self):
         lp, k = 4, 3
-        mem, naive = MemoryWindow(lp, k), NaiveWindow(lp)
+        mem, naive = MemoryWindow([lp], k), NaiveWindow(lp)
         rng = np.random.default_rng(42)
         for gen in range(25):
             ns_col = rng.integers(0, 5, k)
             nf_col = rng.integers(0, 5, k)
-            mem.record_counts(ns_col, nf_col)
-            mem.commit_generation()
+            mem.commit_generation(*one_row(ns_col, nf_col))
             naive.commit(ns_col, nf_col)
-            assert mem.filled == min(gen + 1, lp)
+            assert mem.filled.tolist() == [min(gen + 1, lp)]
             assert_window_sums(mem, naive)
 
     def test_columns_ordered_oldest_to_newest(self):
         """A full window drops its oldest column: 1 goes, 2, 3 and 4 stay."""
-        mem, naive = MemoryWindow(3, 1), NaiveWindow(3)
+        mem, naive = MemoryWindow([3], 1), NaiveWindow(3)
         for value in (1, 2, 3, 4):
-            mem.record_counts([value], [0])
-            mem.commit_generation()
+            mem.commit_generation(*one_row([value], [0]))
             naive.commit([value], [0])
         assert_window_sums(mem, naive)
-        assert mem.success_sums().tolist() == [2 + 3 + 4]
+        assert mem.success_sums().tolist() == [[2 + 3 + 4]]
 
     @given(st.lists(st.integers(1, 6), min_size=1, max_size=5), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_per_row_lengths_match_naive_oracle(self, lps, seed):
         rng = np.random.default_rng(seed)
         rows, k = len(lps), 3
-        mem = MemoryWindow(np.array(lps), k, rows=rows)
+        mem = MemoryWindow(np.array(lps), k)
         naive = []
         for gen in range(15):
             ns_col, nf_col = rng.integers(0, 5, (2, rows, k))
-            mem.record_counts(ns_col, nf_col)
-            mem.commit_generation()
+            mem.commit_generation(ns_col, nf_col)
             naive.append((ns_col, nf_col))
             for r, lp in enumerate(lps):
                 kept = naive[-lp:]
@@ -118,32 +123,42 @@ class TestMemoryWindow:
                 assert np.array_equal(mem.failure_sums()[r], np.sum([c[1][r] for c in kept], axis=0))
 
     def test_record_out_of_range(self):
-        """A count for a source the window does not have is rejected."""
-        with pytest.raises(ValueError):
-            MemoryWindow(3, 2).record_counts([0, 0, 1], [0, 0, 0])
+        """A count for a source the window does not have is rejected, as is
+        a column of the wrong row count, and the window stays empty."""
+        mem = MemoryWindow([3, 3], 2)
+        with pytest.raises(ValueError, match="shape"):
+            mem.commit_generation([[0, 0, 1], [0, 0, 0]], np.zeros((2, 3), dtype=int))
+        with pytest.raises(ValueError, match="shape"):
+            mem.commit_generation([[0, 1]], [[0, 0]])
+        with pytest.raises(ValueError, match="shape"):
+            mem.commit_generation([0, 1], [0, 0])  # one row's column is not broadcast
+        assert mem.filled.tolist() == [0, 0]
+        mem.commit_generation([[0, 1], [1, 0]], [[0, 0], [0, 0]])  # the right shape is accepted
+        assert mem.success_sums().tolist() == [[0, 1], [1, 0]]
 
     def test_bad_sizes(self):
-        with pytest.raises(ValueError):
-            MemoryWindow(0, 2)
+        """A window length below 1 is rejected, on any row; a length of 1
+        and a source count of 1 are accepted."""
+        for lp in ([0], [3, 0], [-1, 2]):
+            with pytest.raises(ValueError, match="window length"):
+                MemoryWindow(lp, 2)
+        assert MemoryWindow([1], 1).shape == (1, 1)
 
 
 class TestUpdateProbabilities:
     def test_uniform_when_no_outcomes(self):
-        mem = window_with_sums([0, 0, 0, 0], [0, 0, 0, 0])
-        p = update_probabilities(mem, bp=0.001, eps=0.001)
+        p = row_probabilities([0, 0, 0, 0], [0, 0, 0, 0])
         assert np.allclose(p, 0.25, rtol=1e-12)
 
     def test_worked_two_source_example(self):
-        mem = window_with_sums([3, 1], [1, 3])
-        p = update_probabilities(mem, bp=0.001, eps=0.001)
+        p = row_probabilities([3, 1], [1, 3])
         expected = exact_probabilities([3, 1], [1, 3])
         assert np.allclose(p, expected, rtol=1e-12)
         assert p[0] == pytest.approx(0.74950, abs=5e-6)
         assert p[1] == pytest.approx(0.25050, abs=5e-6)
 
     def test_floor_keeps_dead_source_selectable(self):
-        mem = window_with_sums([5, 0], [0, 5])
-        p = update_probabilities(mem, bp=0.001, eps=0.001)
+        p = row_probabilities([5, 0], [0, 5])
         expected = exact_probabilities([5, 0], [0, 5])
         assert np.allclose(p, expected, rtol=1e-12)
         assert p[0] == pytest.approx(0.99900, abs=5e-6)
@@ -156,14 +171,13 @@ class TestUpdateProbabilities:
             k = int(rng.integers(2, 7))
             ns = rng.integers(0, 40, k)
             nf = rng.integers(0, 40, k)
-            mem = window_with_sums(ns, nf)
-            p = update_probabilities(mem, bp=0.001, eps=0.001)
+            p = row_probabilities(ns, nf)
             expected = exact_probabilities(ns, nf)
             assert np.allclose(p, expected, rtol=1e-12, atol=0)
 
     def test_empty_window_rejected(self):
         with pytest.raises(EmptyWindowError):
-            update_probabilities(MemoryWindow(5, 2), bp=0.001, eps=0.001)
+            update_probabilities(MemoryWindow([5], 2), bp=0.001, eps=0.001)
 
     def test_bad_parameters_rejected(self):
         mem = window_with_sums([1], [1])
@@ -182,16 +196,15 @@ class TestUpdateProbabilities:
     def test_simplex_and_positivity(self, counts, bp):
         ns = [c[0] for c in counts]
         nf = [c[1] for c in counts]
-        p = update_probabilities(window_with_sums(ns, nf), bp=bp, eps=0.001)
+        p = row_probabilities(ns, nf, bp=bp)
         assert abs(p.sum() - 1.0) <= 1e-12
         assert np.all(p > 0)
 
     def test_bp_zero_row_without_success_is_one_hot_on_own_task(self):
         # rows 0 and 2 have no success in the window: with bp = 0 every rate
         # is 0, which used to give a 0/0 NaN row and a RuntimeWarning
-        mem = MemoryWindow(3, 3, rows=3)
-        mem.record_counts([[0, 0, 0], [2, 0, 1], [0, 0, 0]], [[4, 4, 2], [1, 3, 4], [0, 0, 0]])
-        mem.commit_generation()
+        mem = MemoryWindow([3, 3, 3], 3)
+        mem.commit_generation([[0, 0, 0], [2, 0, 1], [0, 0, 0]], [[4, 4, 2], [1, 3, 4], [0, 0, 0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             p = update_probabilities(mem, bp=0.0, eps=0.001)
@@ -200,22 +213,20 @@ class TestUpdateProbabilities:
         assert np.array_equal(p[0], [1.0, 0.0, 0.0])
         assert np.array_equal(p[2], [0.0, 0.0, 1.0])
         # a stack of two cells: row t·2 + c belongs to task t
-        stacked = MemoryWindow(3, 2, rows=4)
-        stacked.record_counts(np.zeros((4, 2)), np.ones((4, 2)))
-        stacked.commit_generation()
+        stacked = MemoryWindow([3] * 4, 2)
+        stacked.commit_generation(np.zeros((4, 2), dtype=int), np.ones((4, 2), dtype=int))
         assert np.array_equal(update_probabilities(stacked, 0.0, 0.001), [[1, 0], [1, 0], [0, 1], [0, 1]])
 
     def test_per_row_floor(self):
-        mem = MemoryWindow(3, 2, rows=2)
-        mem.record_counts([[3, 1], [3, 1]], [[1, 3], [1, 3]])
-        mem.commit_generation()
+        mem = MemoryWindow([3, 3], 2)
+        mem.commit_generation([[3, 1], [3, 1]], [[1, 3], [1, 3]])
         p = update_probabilities(mem, np.array([0.001, 0.1]), 0.001)
-        assert np.array_equal(p[0], update_probabilities(window_with_sums([3, 1], [1, 3]), 0.001, 0.001))
-        assert np.array_equal(p[1], update_probabilities(window_with_sums([3, 1], [1, 3]), 0.1, 0.001))
+        assert np.array_equal(p[0], row_probabilities([3, 1], [1, 3], bp=0.001))
+        assert np.array_equal(p[1], row_probabilities([3, 1], [1, 3], bp=0.1))
 
     def test_more_successes_raise_probability(self):
-        base = update_probabilities(window_with_sums([2, 2], [5, 5]), 0.001, 0.001)
-        more = update_probabilities(window_with_sums([4, 2], [5, 5]), 0.001, 0.001)
+        base = row_probabilities([2, 2], [5, 5])
+        more = row_probabilities([4, 2], [5, 5])
         assert more[0] > base[0]
 
 
@@ -253,7 +264,7 @@ class TestRoulette:
         p = np.array([0.2, 0.3, 0.5])
         n = 100_000
         rng = np.random.default_rng(99)
-        picks = roulette_select_many(p, rng.random(n))
+        picks = roulette_select_many(p[None], rng.random((1, n)))[0]
         freq = np.bincount(picks, minlength=3) / n
         se = np.sqrt(p * (1 - p) / n)
         assert np.all(np.abs(freq - p) <= 3 * se)
@@ -261,31 +272,27 @@ class TestRoulette:
 
 class TestFocus:
     def test_all_zero_success_activates(self):
-        mem = MemoryWindow(3, 2)
+        mem = MemoryWindow([3], 2)
         for _ in range(3):
-            mem.record_counts([0, 0], [5, 5])
-            mem.commit_generation()
-        assert focus_flags(mem)
+            mem.commit_generation(*one_row([0, 0], [5, 5]))
+        assert focus_flags(mem).tolist() == [True]
 
     def test_any_success_deactivates(self):
-        mem = MemoryWindow(3, 2)
-        mem.record_counts([0, 1], [5, 4])
-        mem.commit_generation()
-        assert not focus_flags(mem)
+        mem = MemoryWindow([3], 2)
+        mem.commit_generation(*one_row([0, 1], [5, 4]))
+        assert focus_flags(mem).tolist() == [False]
 
     def test_empty_window_not_focused(self):
-        assert not focus_flags(MemoryWindow(3, 2))
+        assert focus_flags(MemoryWindow([3], 2)).tolist() == [False]
 
     def test_step_through_activation_then_recovery(self):
         lp = 4
-        mem = MemoryWindow(lp, 2)
+        mem = MemoryWindow([lp], 2)
         for _ in range(lp):
-            mem.record_counts([0, 0], [3, 3])
-            mem.commit_generation()
-        assert focus_flags(mem)
-        mem.record_counts([1, 0], [2, 3])  # drops the oldest column, keeps lp - 1 without success
-        mem.commit_generation()
-        assert not focus_flags(mem)
+            mem.commit_generation(*one_row([0, 0], [3, 3]))
+        assert focus_flags(mem).tolist() == [True]
+        mem.commit_generation(*one_row([1, 0], [2, 3]))  # drops the oldest column, keeps lp - 1 without success
+        assert focus_flags(mem).tolist() == [False]
 
 
 class TestChooseSource:
@@ -320,13 +327,12 @@ class TestStackedRows:
     def test_update_probabilities_and_focus_rows(self, k, gens, bp, seed):
         rng = np.random.default_rng(seed)
         lp = 4
-        mem = MemoryWindow(lp, k, rows=k)
+        mem = MemoryWindow([lp] * k, k)
         history = []
         for _ in range(gens):
             ns = rng.integers(0, 3, (k, k)) * rng.integers(0, 2, (k, 1))  # some rows all zero
             nf = rng.integers(0, 30, (k, k))
-            mem.record_counts(ns, nf)
-            mem.commit_generation()
+            mem.commit_generation(ns, nf)
             history.append((ns, nf))
         focus = focus_flags(mem)
         kept = history[-lp:]

@@ -134,6 +134,28 @@ class TestBaseFunctions:
         y = rng.uniform(-6000, 6000, (4000, 10))
         assert np.all(task_eval("schwefel", y) >= 0.0)
 
+    def test_schwefel_out_of_box_values_pinned(self):
+        # arguments beyond +-500 on both sides fold back toward the boundary
+        # with a quadratic penalty; these exact floats are pinned, so any
+        # rewrite of the fold must keep every bit (and +-500 itself is inside)
+        ones = np.array([[650.0], [-650.0], [2500.5], [-2500.5], [500.0], [-500.0]])
+        assert benchmarks._schwefel_bounded(ones).tolist() == [
+            470.51275084423884,
+            371.9530491557611,
+            994.3714167414502,
+            643.9944332585497,
+            599.5720585313917,
+            238.39374146860823,
+        ]
+        pairs = np.array([[650.0, -650.0], [-1234.5, 1234.5], [500.25, -500.25], [7e5, -3e3], [-499.0, 1500.0]])
+        assert benchmarks._schwefel_bounded(pairs).tolist() == [
+            840.2158,
+            891.914825,
+            837.96580625,
+            24466162.9658,
+            898.78119735162,
+        ]
+
     def test_unknown_function(self):
         with pytest.raises(KeyError, match="unknown base function"):
             task_eval("camelback", np.zeros(2))

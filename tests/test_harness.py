@@ -188,6 +188,23 @@ class TestExecute:
             else:
                 assert cell.source_counts.shape == (11, 2, 2)
 
+    def test_keeps_what_the_write_flags_say(self, tiny_problems, tmp_path):
+        """A cell holds its trace exactly when ``write_convergence`` is set
+        and its source counts exactly when ``write_transfer`` is (PSO has
+        none either way); ``execute`` writes no file."""
+        for convergence in (False, True):
+            for transfer in (False, True):
+                cfg = tiny_config(tiny_problems, tmp_path / "out", write_convergence=convergence, write_transfer=transfer)
+                for cell in execute(parse_experiment(cfg), jobs=1):
+                    assert (cell.trace is not None) == convergence
+                    has_counts = transfer and cell.algorithm != "pso"
+                    assert (cell.source_counts is not None) == has_counts
+                    if convergence:
+                        assert cell.trace.shape == (12, 2)
+                    if has_counts:
+                        assert cell.source_counts.shape == (11, 2, 2)
+        assert not (tmp_path / "out").exists()
+
 
 class TestBatches:
     """Cells of one swarm shape whose configs differ only in seed, lp, bp
@@ -281,7 +298,7 @@ class TestBatches:
         spec = parse_experiment(self.lp_sweep_config(tiny_problems, tmp_path / "out"))
         problems = dict(resolve_problems(spec))
         configs = dict(spec.algorithms)
-        for cell in execute(spec, jobs=1, keep_traces=True, keep_counts=True):
+        for cell in execute(spec, jobs=1):
             seed = derive_seed(spec.master_seed, cell.algorithm, cell.problem_id, cell.run_index)
             alone = run(problems[cell.problem_id], replace(configs[cell.algorithm], seed=seed))
             assert np.array_equal(cell.trace, alone.fev_trace)
@@ -562,6 +579,14 @@ class TestCli:
         cfg_path.write_text(json.dumps({"runs": -3}))
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_suite_seed_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"suite_seed": -1, "problem_ids": [1], "runs": 1, "max_gens": 2}))
+        assert cli.main(["run", "--config", str(cfg_path), "--quiet", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "'suite_seed'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_exits_2(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 2
