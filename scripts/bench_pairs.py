@@ -6,13 +6,17 @@
 The parent ref is exported with ``git archive`` into a temporary directory,
 which leaves the repository itself untouched. For each workload the script
 runs ``python3 bench/run.py --workload W --seed S --seconds T --trace 0``
-N times on each side, in pairs that alternate which side runs first, and
-reads each run's last line of JSON. It writes ``BENCH_<pr>.json``: for
-every end-to-end metric of BENCHMARK.json, each side's runs in pair order,
-their median and quartiles, the ratio of the medians (change / parent),
-the number of pairs in which the change was better and a verdict (see
-``verdict``) against the metric's bound in BENCHMARK.json. With ``--tier1``
-it also times the Tier-1 command once on each side, the change first.
+once on each side as a warm-up, then N times on each side, in pairs that
+alternate which side runs first, and reads each run's last line of JSON.
+The warm-up runs are left out of every figure: a workload's first runs
+read slower than the rest. It writes ``BENCH_<pr>.json``: every run's exit
+status, the warm-up runs, and for every end-to-end metric of
+BENCHMARK.json each side's runs in pair order, their median and quartiles,
+the ratio of the medians (change / parent), the number of pairs in which
+the change was better and a verdict (see ``verdict``) against the metric's
+bound in BENCHMARK.json. A workload with a failed run gets no figures, and
+the script exits 1 once the file is written. With ``--tier1`` it also
+times the Tier-1 command once on each side, the change first.
 
 Measure with nothing else running: the pairs share the machine.
 """
@@ -56,11 +60,13 @@ def export(ref: str, directory: Path) -> None:
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One run's last line of JSON, with its exit status under ``exit``; a
+    failed run gives its exit status and the tail of its stderr."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise SystemExit(f"{tree}: {' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+        return {"exit": proc.returncode, "stderr": proc.stderr[-2000:]}
+    return {"exit": 0, **json.loads(proc.stdout.strip().splitlines()[-1])}
 
 
 def tier1(tree: Path) -> dict:
@@ -134,27 +140,35 @@ def main(argv=None) -> int:
         f"numpy {np.__version__}",
         "workloads": {},
     }
+    status = 0
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_tree = Path(tmp)
         export(args.parent, parent_tree)
         trees = {"parent": parent_tree, "change": ROOT}
         for workload, n in pairs.items():
+            warmup = {side: bench(tree, workload, args.seed, args.seconds) for side, tree in trees.items()}
+            print(workload, "warmup", json.dumps(warmup), flush=True)
             runs = {"parent": [], "change": []}
             for i in range(n):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
                     runs[side].append(bench(trees[side], workload, args.seed, args.seconds))
                     print(workload, i, side, json.dumps(runs[side][-1]), flush=True)
-            all_runs = runs["parent"] + runs["change"]
+            all_runs = [*warmup.values(), *runs["parent"], *runs["change"]]
             entry = {
                 "pairs": n,
-                "correct": all(r["correct"] for r in all_runs),
-                "failed_cells": sum(r["failed"] for r in all_runs),
+                "exits": {side: [r["exit"] for r in rs] for side, rs in runs.items()},
+                "correct": all(r.get("correct", False) for r in all_runs),
+                "failed_cells": sum(r.get("failed", 0) for r in all_runs),
+                "warmup": warmup,
             }
-            for metric, (better, bound) in metrics.items():
-                values = {side: [r["metrics"][metric]["value"] for r in rs] for side, rs in runs.items()}
-                entry[metric] = summarize(values["parent"], values["change"], better)
-                entry[metric]["verdict"] = verdict(entry[metric], better, bound)
+            if any(r["exit"] != 0 for r in all_runs):
+                status = 1
+            else:
+                for metric, (better, bound) in metrics.items():
+                    values = {side: [r["metrics"][metric]["value"] for r in rs] for side, rs in runs.items()}
+                    entry[metric] = summarize(values["parent"], values["change"], better)
+                    entry[metric]["verdict"] = verdict(entry[metric], better, bound)
             out["workloads"][workload] = entry
         if args.tier1:
             out["tier1"] = {"command": "PYTHONPATH=src " + " ".join(["python"] + TIER1[1:])}
@@ -164,7 +178,7 @@ def main(argv=None) -> int:
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}")
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from .core import (
     encode,
     evaluate_task,
 )
-from .benchmarks import SuiteSpec, build_suite, make_task
+from .benchmarks import build_suite, make_task
 from .adaptation import (
     MemoryWindow,
     choose_sources,
@@ -30,7 +30,6 @@ __all__ = [
     "MtoProblem",
     "RunConfig",
     "RunResult",
-    "SuiteSpec",
     "SwarmState",
     "TaskDef",
     "build_suite",

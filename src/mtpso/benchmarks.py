@@ -225,21 +225,6 @@ SUITE_IDS = ("suite1", "suite2")
 DEFAULT_SUITE_SEED = 2021
 
 
-@dataclass(frozen=True)
-class SuiteSpec:
-    suite_id: str
-    problems: tuple[MtoProblem, ...]
-
-    def __post_init__(self):
-        if self.suite_id == "suite1":
-            if any(p.num_tasks != 2 for p in self.problems):
-                raise ValueError("suite1 problems must have exactly 2 tasks")
-        elif self.suite_id == "suite2":
-            for p in self.problems:
-                if p.num_tasks != 5 or any(t.dim != 50 for t in p.tasks):
-                    raise ValueError("suite2 problems must have five 50-D tasks")
-
-
 def _build_problem(fns, dims, intersection, prob_ss: np.random.SeedSequence) -> MtoProblem:
     k = len(fns)
     unified = max(dims)
@@ -259,9 +244,10 @@ def _build_problem(fns, dims, intersection, prob_ss: np.random.SeedSequence) -> 
     return MtoProblem(tasks=tuple(tasks))
 
 
-def build_suite(suite_id: str, seed: int = DEFAULT_SUITE_SEED) -> SuiteSpec:
-    """Generate the nine problems of a suite from ``seed``; task-data files
-    are read with :func:`load_problem_files`."""
+def build_suite(suite_id: str, seed: int = DEFAULT_SUITE_SEED) -> tuple[MtoProblem, ...]:
+    """Generate the nine problems of a suite from ``seed``, in the order of
+    its rows (SUITE1_ROWS or SUITE2_ROWS); task-data files are read with
+    :func:`load_problem_files`."""
     if suite_id not in SUITE_IDS:
         raise ValueError(f"unknown suite {suite_id!r}; expected one of {SUITE_IDS}")
     master = np.random.SeedSequence(seed)
@@ -273,7 +259,7 @@ def build_suite(suite_id: str, seed: int = DEFAULT_SUITE_SEED) -> SuiteSpec:
     else:
         for fns, ss in zip(SUITE2_ROWS, prob_seeds):
             problems.append(_build_problem(fns, (50,) * 5, NONE, ss))
-    return SuiteSpec(suite_id, tuple(problems))
+    return tuple(problems)
 
 
 # ---------------------------------------------------------------------------
@@ -288,25 +274,25 @@ def _parse_task(obj, where: str) -> TaskDef:
         if key not in obj:
             raise BenchmarkDataError(f"{where}: missing field {key!r}")
     name = obj["fn"]
-    if name not in _REGISTRY:
+    if not isinstance(name, str) or name not in _REGISTRY:
         raise BenchmarkDataError(f"{where}: unknown function {name!r}")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise BenchmarkDataError(f"{where}: 'dim' must be a positive integer")
 
     def vec(key):
         val = obj[key]
-        if isinstance(val, (int, float)):
+        if isinstance(val, (int, float)) and not isinstance(val, bool):
             return np.full(dim, float(val))
         arr = np.asarray(val, dtype=float)
         if arr.shape != (dim,):
-            raise BenchmarkDataError(f"{where}: {key!r} must be a scalar or length-{dim} array")
+            raise BenchmarkDataError(f"{key!r} must be a scalar or length-{dim} array")
         return arr
 
-    rotation = np.asarray(obj["rotation"], dtype=float)
-    if rotation.shape != (dim, dim):
-        raise BenchmarkDataError(f"{where}: 'rotation' must be a {dim}x{dim} matrix")
     try:
+        rotation = np.asarray(obj["rotation"], dtype=float)
+        if rotation.shape != (dim, dim):
+            raise BenchmarkDataError(f"'rotation' must be a {dim}x{dim} matrix")
         return TaskDef(
             base_fn=name,
             dim=dim,
@@ -315,7 +301,7 @@ def _parse_task(obj, where: str) -> TaskDef:
             shift=vec("shift"),
             rotation=rotation,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # np.asarray raises TypeError for an object
         raise BenchmarkDataError(f"{where}: {exc}") from exc
 
 
@@ -373,15 +359,3 @@ def problem_to_dict(problem: MtoProblem) -> dict:
         ]
     }
 
-
-def write_problem_files(suite: SuiteSpec, directory) -> list[Path]:
-    """Dump each problem of a suite as problem_XX.json; returns the paths."""
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for i, problem in enumerate(suite.problems):
-        path = out / f"problem_{i + 1:02d}.json"
-        with open(path, "w") as fh:
-            json.dump(problem_to_dict(problem), fh)
-        paths.append(path)
-    return paths

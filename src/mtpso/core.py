@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -74,8 +73,9 @@ class TaskDef:
             raise DimensionMismatchError(
                 f"rotation must be {self.dim}x{self.dim}, got {self.rotation.shape}"
             )
-        err = np.max(np.abs(self.rotation.T @ self.rotation - np.eye(self.dim)))
-        if err > ORTHOGONALITY_TOL:
+        with np.errstate(invalid="ignore"):  # a non-finite rotation gives a NaN err, which fails
+            err = np.max(np.abs(self.rotation.T @ self.rotation - np.eye(self.dim)))
+        if not err <= ORTHOGONALITY_TOL:
             raise ValueError(f"rotation is not orthogonal (max |R^T R - I| = {err:.3e})")
         if not (np.all(self.shift >= self.lower) and np.all(self.shift <= self.upper)):
             raise ValueError("shift must lie inside the box bounds")
@@ -83,14 +83,15 @@ class TaskDef:
 
 @dataclass(frozen=True)
 class MtoProblem:
-    """An ordered set of component tasks sharing one unified search space."""
+    """An ordered set of K >= 1 component tasks sharing one unified search
+    space; a single-task problem is the case K = 1."""
 
     tasks: tuple[TaskDef, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "tasks", tuple(self.tasks))
-        if len(self.tasks) < 2:
-            raise ValueError("a multi-task problem needs at least 2 tasks")
+        if not self.tasks:
+            raise ValueError("a problem needs at least 1 task")
 
     @property
     def unified_dim(self) -> int:

@@ -228,8 +228,7 @@ def load_config(path) -> dict:
 def resolve_problems(spec: ExperimentSpec) -> list[tuple[int, MtoProblem]]:
     """Problem instances for the spec's suite, keyed by 1-based id."""
     if spec.suite in benchmarks.SUITE_IDS:
-        suite = benchmarks.build_suite(spec.suite, seed=spec.suite_seed)
-        problems = list(suite.problems)
+        problems = benchmarks.build_suite(spec.suite, seed=spec.suite_seed)
     else:
         problems = benchmarks.load_problem_files(spec.suite)
     ids = spec.problem_ids or tuple(range(1, len(problems) + 1))
@@ -278,17 +277,17 @@ def _run_batch(batch: list) -> list[CellResult]:
 
 
 def _batches(cells: list, jobs: int) -> list[list[int]]:
-    """Indices of the grid's cells, grouped into batches of one swarm
-    shape: cells with equal task count K and unified dimension D_u whose
-    configs differ only in seed, lp, bp and PSO against S2 (so equal N).
-    A group is sorted by problem id, keeping grid order within a problem,
-    so that a problem's cells stay adjacent; it is split into batches of at
-    most BATCH_ELEMENTS stacked elements, and a group of at least ``jobs``
-    cells into at least ``jobs`` batches so that every worker gets one."""
+    """Indices of the grid's cells, grouped into batches by
+    :func:`optimizer.batch_key`: cells with equal task count K and unified
+    dimension D_u whose configs differ only in seed, lp, bp and PSO against
+    S2 (so equal N). A group is sorted by problem id, keeping grid order
+    within a problem, so that a problem's cells stay adjacent; it is split
+    into batches of at most BATCH_ELEMENTS stacked elements, and a group of
+    at least ``jobs`` cells into at least ``jobs`` batches so that every
+    worker gets one."""
     groups: dict = {}
     for i, (_, config, problem, *_) in enumerate(cells):
-        key = (problem.num_tasks, problem.unified_dim, batch_key(config))
-        groups.setdefault(key, []).append(i)
+        groups.setdefault(batch_key(problem, config), []).append(i)
     batches = []
     for (k, d_u, config), members in groups.items():
         members.sort(key=lambda i: cells[i][3])

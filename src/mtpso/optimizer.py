@@ -23,37 +23,15 @@ class NonFiniteFitnessError(FloatingPointError):
     """A task function returned NaN or an infinity."""
 
 
-@dataclass(frozen=True)
-class _SingleTask:
-    """Degenerate one-task wrapper so a bare TaskDef can be optimized."""
-
-    tasks: tuple[TaskDef, ...]
-    unified_dim: int
-
-    @property
-    def num_tasks(self) -> int:
-        return 1
-
-
-# One problem for every cell of a batch, or a sequence of one per cell.
-Problems = MtoProblem | TaskDef | Sequence[MtoProblem | TaskDef]
-
-
-def _as_problem(problem: MtoProblem | TaskDef):
-    if isinstance(problem, TaskDef):
-        return _SingleTask(tasks=(problem,), unified_dim=problem.dim)
-    return problem
-
-
 @dataclass
 class SwarmState:
     """The K subpopulations of each of C cells, stacked task-major.
 
-    A batch is a set of runs (cells) of one swarm shape, equal K, N and
-    D_u, whose configs differ only in ``seed``, ``lp``, ``bp`` and PSO
-    against S2 (:func:`batch_key`); each cell has its own problem. Row
-    t·C + c belongs to cell c's task t, so a task index's C·N particles are
-    one contiguous block; with C = 1, row t is task t.
+    A batch is a set of runs (cells) with the same :func:`batch_key`: equal
+    K and D_u, and configs that differ only in ``seed``, ``lp``, ``bp`` and
+    PSO against S2; each cell has its own problem. Row t·C + c belongs to
+    cell c's task t, so a task index's C·N particles are one contiguous
+    block; with C = 1, row t is task t.
 
     Positions, velocities and pbest positions have shape (K·C, N, D_u);
     pbest fitness and each particle's last chosen source task (K·C, N); the
@@ -73,7 +51,7 @@ class SwarmState:
 
     problems: tuple[MtoProblem, ...]
     configs: tuple[RunConfig, ...]
-    config: RunConfig  # what every cell shares: batch_key(configs[0])
+    config: RunConfig  # what every cell shares: the config of its batch_key
     positions: np.ndarray
     velocities: np.ndarray
     pbest_pos: np.ndarray
@@ -156,11 +134,13 @@ def _bounce(x, v) -> bool:
 NO_TRANSFER = {"pso": "samtpso-s2"}
 
 
-def batch_key(config: RunConfig) -> RunConfig:
-    """What the cells of one batch share: the config without seed, lp and
-    bp, and with the rule it steps by in place of a no-transfer algorithm."""
+def batch_key(problem: MtoProblem, config: RunConfig) -> tuple[int, int, RunConfig]:
+    """What the cells of one batch share, the one rule for which cells may
+    be stepped as one swarm: the task count K, the unified dimension D_u
+    and the config without seed, lp and bp, with the rule it steps by in
+    place of a no-transfer algorithm."""
     algorithm = NO_TRANSFER.get(config.algorithm, config.algorithm)
-    return replace(config, algorithm=algorithm, seed=0, lp=1, bp=0.0)
+    return problem.num_tasks, problem.unified_dim, replace(config, algorithm=algorithm, seed=0, lp=1, bp=0.0)
 
 
 @dataclass
@@ -245,35 +225,27 @@ def _evaluate(plan: _Plan, problems: tuple, positions: np.ndarray, scratch: np.n
     return fit.reshape(rows, n_s)
 
 
-def _per_cell(problems: Problems, cells: int) -> tuple:
-    """One problem per cell: a sequence of one per cell, or one for all."""
-    if not isinstance(problems, (list, tuple)):
-        return (_as_problem(problems),) * cells
-    if len(problems) != cells:
-        raise ValueError(f"a batch of {cells} configs needs {cells} problems, got {len(problems)}")
-    return tuple(_as_problem(p) for p in problems)
-
-
-def init_swarm(problems: Problems, configs: RunConfig | Sequence[RunConfig]) -> SwarmState:
+def init_swarm(problems: Sequence[MtoProblem], configs: Sequence[RunConfig]) -> SwarmState:
     """Uniform random positions, zero velocities, memories empty, uniform
     source probabilities; every subpopulation evaluated on its own task.
 
-    ``configs`` is one run's config or a batch of configs that differ only
-    in seed, lp, bp and PSO against S2, and ``problems`` one problem for
-    every cell or a sequence of one per cell, all with the same K and D_u.
-    Each cell's task t seeds its streams from ``SeedSequence(seed).spawn(K)[t]``,
-    as a run of its own would. Accepts a bare TaskDef for degenerate
-    single-task (K=1) runs."""
-    configs = (configs,) if isinstance(configs, RunConfig) else tuple(configs)
-    if not configs or any(batch_key(c) != batch_key(configs[0]) for c in configs):
-        raise ValueError("the configs of a batch must differ only in seed, lp and bp (and PSO against S2)")
-    problems = _per_cell(problems, len(configs))
-    k, d_u = problems[0].num_tasks, problems[0].unified_dim
-    if any(p.num_tasks != k or p.unified_dim != d_u for p in problems):
-        raise ValueError("the problems of a batch must have the same task count and unified dimension")
+    ``problems`` and ``configs`` hold one problem and one config per cell,
+    and every cell must have the same :func:`batch_key`. Each cell's task t
+    seeds its streams from ``SeedSequence(seed).spawn(K)[t]``, as a run of
+    its own would."""
+    problems, configs = tuple(problems), tuple(configs)
+    if len(problems) != len(configs):
+        raise ValueError(f"a batch of {len(configs)} configs needs {len(configs)} problems, got {len(problems)}")
+    keys = [batch_key(p, c) for p, c in zip(problems, configs)]
+    if not keys or any(key != keys[0] for key in keys):
+        raise ValueError(
+            "the cells of a batch must have the same task count and unified dimension, and configs "
+            "that differ only in seed, lp and bp (and PSO against S2)"
+        )
+    k, d_u, shared = keys[0]
     cells = len(configs)
     rows = k * cells
-    n_s = configs[0].pop_per_task
+    n_s = shared.pop_per_task
     positions = np.empty((rows, n_s, d_u))
     select_rngs: list = [None] * rows
     vel_rngs: list = [None] * rows
@@ -288,7 +260,6 @@ def init_swarm(problems: Problems, configs: RunConfig | Sequence[RunConfig]) -> 
     plan = _evaluation_plan(problems, n_s, draws)
     fit = _evaluate(plan, problems, positions, term)
     best = np.argmin(fit, axis=1)
-    shared = batch_key(configs[0])
     transfer = np.tile([c.algorithm not in NO_TRANSFER for c in configs], k)
     return SwarmState(
         problems=problems,
@@ -415,11 +386,11 @@ def run_generation(state: SwarmState) -> np.ndarray | None:
     return counts
 
 
-def run_batch(problems: Problems, configs: Sequence[RunConfig], observer=None) -> list[RunResult]:
-    """Execute the runs of a batch (one swarm shape, configs that differ
-    only in seed, lp, bp and PSO against S2; see :func:`init_swarm`) side
-    by side for ``max_gens`` generations; one RunResult per config, each
-    equal bit for bit to that config's run on its own.
+def run_batch(problems: Sequence[MtoProblem], configs: Sequence[RunConfig], observer=None) -> list[RunResult]:
+    """Execute the runs of a batch, one problem and one config per cell, all
+    cells with the same :func:`batch_key` (see :func:`init_swarm`), side by
+    side for ``max_gens`` generations; one RunResult per cell, each equal
+    bit for bit to that cell's run on its own.
 
     ``observer(state)``, when given, is called after the initial evaluation
     and after every generation; useful for invariant checks.
@@ -457,7 +428,8 @@ def run_batch(problems: Problems, configs: Sequence[RunConfig], observer=None) -
     ]
 
 
-def run(problem: MtoProblem | TaskDef, config: RunConfig, observer=None) -> RunResult:
+def run(problem: MtoProblem, config: RunConfig, observer=None) -> RunResult:
     """Execute one full run of ``config.max_gens`` generations: a batch of
-    one (see :func:`run_batch`)."""
-    return run_batch(problem, (config,), observer)[0]
+    one (see :func:`run_batch`). A single-task run passes a one-task
+    problem, ``MtoProblem((task,))``."""
+    return run_batch((problem,), (config,), observer)[0]

@@ -102,10 +102,10 @@ def test_criterion_1_formula_oracles():
 
 
 def test_criterion_2_collapse_equivalence():
-    task = make_task("sphere", 10, 8101)
+    problem = MtoProblem((make_task("sphere", 10, 8101),))
     gens = 200
-    s2 = run(task, RunConfig(algorithm="samtpso-s2", pop_per_task=POP_PER_TASK, seed=4242, max_gens=gens))
-    pso = run(task, RunConfig(algorithm="pso", pop_per_task=POP_PER_TASK, seed=4242, max_gens=gens))
+    s2 = run(problem, RunConfig(algorithm="samtpso-s2", pop_per_task=POP_PER_TASK, seed=4242, max_gens=gens))
+    pso = run(problem, RunConfig(algorithm="pso", pop_per_task=POP_PER_TASK, seed=4242, max_gens=gens))
     identical = np.array_equal(s2.fev_trace, pso.fev_trace) and np.array_equal(
         s2.best_positions, pso.best_positions
     )
@@ -149,7 +149,7 @@ def test_criterion_3_invariant_suite():
     suite = benchmarks.build_suite("suite1")
     runs, gens = 10, 500
     total_checks = 0
-    for pid, problem in enumerate(suite.problems, start=1):
+    for pid, problem in enumerate(suite, start=1):
         for run_index in range(runs):
             seed = harness.derive_seed(ACCEPTANCE_MASTER_SEED, "invariants", pid, run_index)
             config = RunConfig(

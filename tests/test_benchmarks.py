@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from mtpso import benchmarks
 from mtpso.benchmarks import (
     BenchmarkDataError,
-    SuiteSpec,
     build_suite,
     load_problem_files,
     make_task,
     problem_to_dict,
     random_rotation,
     task_eval,
-    write_problem_files,
 )
 from mtpso.core import MtoProblem, encode, evaluate_task
 
@@ -214,7 +212,7 @@ class TestMakeTask:
 class TestSuite1:
     def test_structure_matches_table(self):
         suite = build_suite("suite1")
-        assert len(suite.problems) == 9
+        assert len(suite) == 9
         expected = [
             ("griewank", "rastrigin"),
             ("ackley", "rastrigin"),
@@ -226,21 +224,21 @@ class TestSuite1:
             ("griewank", "weierstrass"),
             ("rastrigin", "weierstrass"),
         ]
-        for problem, fns in zip(suite.problems, expected):
+        for problem, fns in zip(suite, expected):
             assert tuple(t.base_fn for t in problem.tasks) == fns
             assert problem.num_tasks == 2
 
     def test_dimensions(self):
         suite = build_suite("suite1")
-        dims = [(p.tasks[0].dim, p.tasks[1].dim) for p in suite.problems]
+        dims = [(p.tasks[0].dim, p.tasks[1].dim) for p in suite]
         assert dims[5] == (50, 25)
         assert all(d == (50, 50) for i, d in enumerate(dims) if i != 5)
-        assert suite.problems[5].unified_dim == 50
+        assert suite[5].unified_dim == 50
 
     def test_complete_intersection_shares_unified_optimum(self):
         suite = build_suite("suite1")
         for idx in (0, 1, 2):
-            t1, t2 = suite.problems[idx].tasks
+            t1, t2 = suite[idx].tasks
             u1 = encode(t1.shift, t1)
             u2 = encode(t2.shift, t2)
             assert np.allclose(u1, u2, atol=1e-12)
@@ -251,8 +249,8 @@ class TestSuite1:
     def test_partial_intersection_shares_half(self):
         suite = build_suite("suite1")
         for idx in (3, 4, 5):
-            t1, t2 = suite.problems[idx].tasks
-            shared = -(-suite.problems[idx].unified_dim // 2)  # ceil
+            t1, t2 = suite[idx].tasks
+            shared = -(-suite[idx].unified_dim // 2)  # ceil
             u1 = encode(t1.shift, t1)
             u2 = encode(t2.shift, t2)
             n = min(shared, t2.dim)
@@ -263,7 +261,7 @@ class TestSuite1:
     def test_no_intersection_independent(self):
         suite = build_suite("suite1")
         for idx in (6, 7, 8):
-            t1, t2 = suite.problems[idx].tasks
+            t1, t2 = suite[idx].tasks
             u1 = encode(t1.shift, t1)[: t2.dim]
             u2 = encode(t2.shift, t2)
             assert not np.allclose(u1, u2)
@@ -272,35 +270,30 @@ class TestSuite1:
         a = build_suite("suite1", seed=7)
         b = build_suite("suite1", seed=7)
         c = build_suite("suite1", seed=8)
-        assert np.array_equal(a.problems[0].tasks[0].shift, b.problems[0].tasks[0].shift)
-        assert np.array_equal(a.problems[3].tasks[1].rotation, b.problems[3].tasks[1].rotation)
-        assert not np.array_equal(a.problems[0].tasks[0].shift, c.problems[0].tasks[0].shift)
+        assert np.array_equal(a[0].tasks[0].shift, b[0].tasks[0].shift)
+        assert np.array_equal(a[3].tasks[1].rotation, b[3].tasks[1].rotation)
+        assert not np.array_equal(a[0].tasks[0].shift, c[0].tasks[0].shift)
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
             build_suite("suite3")
 
-    def test_suitespec_validates_task_count(self):
-        suite = build_suite("suite2")
-        with pytest.raises(ValueError, match="exactly 2"):
-            SuiteSpec("suite1", suite.problems)
-
 
 class TestSuite2:
     def test_structure_matches_table(self):
         suite = build_suite("suite2")
-        assert len(suite.problems) == 9
-        rows = [tuple(t.base_fn for t in p.tasks) for p in suite.problems]
+        assert len(suite) == 9
+        rows = [tuple(t.base_fn for t in p.tasks) for p in suite]
         assert rows[0] == ("sphere",) * 5
         assert rows[3] == ("sphere", "rosenbrock", "rastrigin", "sphere", "rosenbrock")
         assert rows[8] == ("ackley", "rastrigin", "griewank", "weierstrass", "schwefel")
-        for p in suite.problems:
+        for p in suite:
             assert p.num_tasks == 5
             assert all(t.dim == 50 for t in p.tasks)
 
     def test_pairwise_distinct_shifts(self):
         suite = build_suite("suite2")
-        tasks = suite.problems[0].tasks
+        tasks = suite[0].tasks
         for i in range(5):
             for j in range(i + 1, 5):
                 assert not np.allclose(tasks[i].shift, tasks[j].shift)
@@ -309,10 +302,11 @@ class TestSuite2:
 class TestProblemFiles:
     def test_round_trip(self, tmp_path):
         suite = build_suite("suite1", seed=3)
-        write_problem_files(suite, tmp_path)
+        for i, problem in enumerate(suite):
+            (tmp_path / f"problem_{i + 1:02d}.json").write_text(json.dumps(problem_to_dict(problem)))
         loaded = load_problem_files(tmp_path)
         assert len(loaded) == 9
-        for orig, back in zip(suite.problems, loaded):
+        for orig, back in zip(suite, loaded):
             for t_orig, t_back in zip(orig.tasks, back.tasks):
                 assert t_orig.base_fn == t_back.base_fn
                 assert np.array_equal(t_orig.shift, t_back.shift)
@@ -320,14 +314,14 @@ class TestProblemFiles:
 
     def test_single_file_with_problem_list(self, tmp_path):
         suite = build_suite("suite1", seed=5)
-        payload = {"problems": [problem_to_dict(p) for p in suite.problems[:2]]}
+        payload = {"problems": [problem_to_dict(p) for p in suite[:2]]}
         path = tmp_path / "problems.json"
         path.write_text(json.dumps(payload))
         loaded = load_problem_files(path)
         assert len(loaded) == 2
 
     def test_missing_field_reports_location(self, tmp_path):
-        p = problem_to_dict(build_suite("suite1", seed=1).problems[0])
+        p = problem_to_dict(build_suite("suite1", seed=1)[0])
         del p["tasks"][1]["shift"]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([p]))
@@ -335,7 +329,7 @@ class TestProblemFiles:
             load_problem_files(path)
 
     def test_bad_rotation_shape_reported(self, tmp_path):
-        p = problem_to_dict(build_suite("suite1", seed=1).problems[0])
+        p = problem_to_dict(build_suite("suite1", seed=1)[0])
         p["tasks"][0]["rotation"] = [[1.0, 0.0]]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([p]))
@@ -343,7 +337,7 @@ class TestProblemFiles:
             load_problem_files(path)
 
     def test_unknown_function_reported(self, tmp_path):
-        p = problem_to_dict(build_suite("suite1", seed=1).problems[0])
+        p = problem_to_dict(build_suite("suite1", seed=1)[0])
         p["tasks"][0]["fn"] = "banana"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([p]))

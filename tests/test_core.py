@@ -124,6 +124,19 @@ class TestTaskDefInvariants:
                 rotation=np.array([[1.0, 0.1], [0.0, 1.0]]),
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rotation_is_not_orthogonal(self, bad):
+        """|R^T R - I| is NaN here, and a NaN error must fail the check."""
+        with pytest.raises(ValueError, match="orthogonal"):
+            TaskDef(
+                base_fn="sphere",
+                dim=2,
+                lower=np.full(2, -1.0),
+                upper=np.full(2, 1.0),
+                shift=np.zeros(2),
+                rotation=np.array([[bad, 0.0], [0.0, 1.0]]),
+            )
+
     def test_shift_must_be_in_box(self):
         with pytest.raises(ValueError, match="shift"):
             plain_task(dim=2, lower=-1, upper=1, shift=[0.0, 2.0])
@@ -141,9 +154,11 @@ class TestTaskDefInvariants:
 
 
 class TestMtoProblem:
-    def test_needs_two_tasks(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            MtoProblem(tasks=(plain_task(),))
+    def test_needs_one_task(self):
+        with pytest.raises(ValueError, match="at least 1 task"):
+            MtoProblem(tasks=())
+        single = MtoProblem(tasks=(plain_task(dim=3, shift=[0] * 3),))
+        assert single.num_tasks == 1 and single.unified_dim == 3
 
     def test_unified_dim_is_max(self):
         p = MtoProblem(tasks=(plain_task(dim=5, shift=[0] * 5), plain_task(dim=3, shift=[0] * 3)))

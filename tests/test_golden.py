@@ -44,7 +44,7 @@ GOLDEN_SHA256 = {
 def golden_problems():
     suite = build_suite("suite1")
     manytask = MtoProblem(tasks=tuple(make_task(fn, d, 900 + i) for i, (fn, d) in enumerate(MANYTASK)))
-    return [suite.problems[3], suite.problems[5], manytask]
+    return [suite[3], suite[5], manytask]
 
 
 @pytest.mark.parametrize(

@@ -162,7 +162,7 @@ class TestResolveProblems:
         a = resolve_problems(parse_experiment({"suite_seed": 1, "problem_ids": [1]}))
         b = resolve_problems(parse_experiment({"suite_seed": 2, "problem_ids": [1]}))
         assert not np.array_equal(a[0][1].tasks[0].shift, b[0][1].tasks[0].shift)
-        assert np.array_equal(a[0][1].tasks[0].shift, build_suite("suite1", seed=1).problems[0].tasks[0].shift)
+        assert np.array_equal(a[0][1].tasks[0].shift, build_suite("suite1", seed=1)[0].tasks[0].shift)
 
 
 class TestExecute:
@@ -267,7 +267,7 @@ class TestBatches:
         ]
         batches = harness._batches(cells, jobs)
         assert sorted(i for b in batches for i in b) == list(range(len(cells)))
-        shape = lambda i: (cells[i][2].num_tasks, cells[i][2].unified_dim, batch_key(cells[i][1]))  # noqa: E731
+        shape = lambda i: batch_key(cells[i][2], cells[i][1])  # noqa: E731
         groups = {}
         for batch in batches:
             assert len({shape(i) for i in batch}) == 1
@@ -705,6 +705,28 @@ class TestCli:
         path.write_text(json.dumps({"problems": [{"tasks": [task]}]}))
         return str(path)
 
+    @staticmethod
+    def set_field(task, key, value):
+        """A two-task file whose task ``task`` (1-based) has ``key`` set to
+        ``value``, as the JSON text of its problem list."""
+        problem = problem_to_dict(MtoProblem(tasks=(make_task("sphere", 3, 1), make_task("sphere", 3, 2))))
+        problem["tasks"][task - 1][key] = value
+        return json.dumps({"problems": [problem]})
+
+    # (file text, what the error line must say after the file name)
+    MALFORMED_TWO_TASK_FILES = [
+        (set_field(2, "dim", True), "problem 1, task 2: 'dim' must be a positive integer"),
+        (set_field(1, "fn", ["sphere"]), "problem 1, task 1: unknown function ['sphere']"),
+        (set_field(2, "rotation", [["x"]]), "problem 1, task 2: could not convert string to float: 'x'"),
+        (set_field(1, "rotation", [[float("nan"), 0, 0], [0, 1, 0], [0, 0, 1]]),
+         "problem 1, task 1: rotation is not orthogonal"),
+        (set_field(2, "rotation", [[1, 0, 0], [0, float("inf"), 0], [0, 0, 1]]),
+         "problem 1, task 2: rotation is not orthogonal"),
+        (set_field(1, "rotation", {"rows": 3}), "problem 1, task 1: float() argument must be"),
+        (set_field(2, "upper", True), "problem 1, task 2: 'upper' must be a scalar or length-3 array"),
+        (set_field(1, "lower", [[-1, -1, -1]]), "problem 1, task 1: 'lower' must be a scalar or length-3 array"),
+    ]
+
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "lp", "--values", "2"]])
     def test_malformed_task_file_exits_2(self, one_task_file, tmp_path, capsys, command):
         cfg_path = tmp_path / "config.json"
@@ -713,6 +735,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "at least 2 tasks" in err
         assert not (tmp_path / "out").exists()
+        for i, (text, expected) in enumerate(self.MALFORMED_TWO_TASK_FILES):
+            path = tmp_path / f"malformed_{i}.json"
+            path.write_text(text)
+            cfg_path.write_text(json.dumps(tiny_config(str(path), tmp_path / "out")))
+            assert cli.main([command[0], "--config", str(cfg_path), *command[1:], "--quiet"]) == 2, expected
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: {expected}"), err
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, expected",

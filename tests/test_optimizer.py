@@ -58,7 +58,7 @@ def move_particle(algorithm, x, v, pbest, g_own, g_src, w, source=1, r=0.5, **co
     is ``g_own``, task 1's is ``g_src``, and task 0 picks ``source`` (0 is
     its own task). Returns the particle's new (x, v)."""
     problem = MtoProblem(tasks=(make_task("sphere", 1, 0), make_task("sphere", 1, 1)))
-    state = init_swarm(problem, RunConfig(algorithm=algorithm, pop_per_task=1, **coeffs))
+    state = init_swarm([problem], [RunConfig(algorithm=algorithm, pop_per_task=1, **coeffs)])
     state.positions[0], state.velocities[0], state.pbest_pos[0] = x, v, pbest
     state.gbest_pos[:] = [[g_own], [g_src]]
     state.probs[0] = np.eye(2)[source]
@@ -124,7 +124,7 @@ class TestS1SelfChoice:
             RunConfig(algorithm=a, pop_per_task=40, seed=11 + c, max_gens=50, lp=30)
             for c, a in enumerate(self.ALGORITHMS)
         ]
-        state = init_swarm(small_problem(), configs)
+        state = init_swarm([small_problem()] * len(configs), configs)
         for _ in range(4):
             run_generation(state)
         state.focus[:] = force_focus | ~state.transfer
@@ -245,7 +245,7 @@ class TestStepPosition:
 
 class TestInitSwarm:
     def test_structure(self):
-        state = init_swarm(small_problem(), RunConfig(algorithm="samtpso-s1", pop_per_task=50, seed=3))
+        state = init_swarm([small_problem()], [RunConfig(algorithm="samtpso-s1", pop_per_task=50, seed=3)])
         assert state.positions.shape == (2, 50, 5)
         for t in range(2):
             assert state.positions[t].shape[0] == 50
@@ -258,21 +258,21 @@ class TestInitSwarm:
 
     def test_deterministic(self):
         cfg = RunConfig(algorithm="samtpso-s1", pop_per_task=20, seed=9)
-        a = init_swarm(small_problem(), cfg)
-        b = init_swarm(small_problem(), cfg)
+        a = init_swarm([small_problem()], [cfg])
+        b = init_swarm([small_problem()], [cfg])
         for t in range(2):
             assert np.array_equal(a.positions[t], b.positions[t])
             assert np.array_equal(a.pbest_fit[t], b.pbest_fit[t])
 
     def test_gbest_is_min_pbest(self):
-        state = init_swarm(small_problem(), RunConfig(algorithm="samtpso-s2", pop_per_task=30, seed=1))
+        state = init_swarm([small_problem()], [RunConfig(algorithm="samtpso-s2", pop_per_task=30, seed=1)])
         for t in range(2):
             assert state.gbest_fit[t] == state.pbest_fit[t].min()
             assert state.gbest_fit[t] <= state.pbest_fit[t].min()
 
     def test_pbest_fitness_consistent(self):
         problem = small_problem()
-        state = init_swarm(problem, RunConfig(algorithm="samtpso-s1", pop_per_task=10, seed=2))
+        state = init_swarm([problem], [RunConfig(algorithm="samtpso-s1", pop_per_task=10, seed=2)])
         for t, task in enumerate(problem.tasks):
             for i in range(state.positions.shape[1]):
                 ref = evaluate_task(state.pbest_pos[t, i], task)
@@ -284,7 +284,7 @@ class TestEvaluateAndUpdate:
         """A swarm whose task 0 holds the given particles; the assertions
         read task 0's row."""
         cfg = RunConfig(algorithm="samtpso-s1", pop_per_task=len(positions), seed=0)
-        state = init_swarm(problem, cfg)
+        state = init_swarm([problem], [cfg])
         state.positions[0] = positions
         state.pbest_fit[0] = pbest_fit
         state.pbest_pos[0] = 0.25
@@ -331,7 +331,7 @@ class TestEvaluateAndUpdate:
 
 class TestRunLoops:
     def test_pso_ignores_adaptation(self):
-        state = init_swarm(small_problem(), RunConfig(algorithm="pso", pop_per_task=10, seed=5, max_gens=30))
+        state = init_swarm([small_problem()], [RunConfig(algorithm="pso", pop_per_task=10, seed=5, max_gens=30)])
         for _ in range(10):
             counts = run_generation(state)
         assert counts is None
@@ -396,14 +396,14 @@ class TestRunLoops:
             observer=observer)
 
     def test_single_task_degenerate_run(self):
-        task = make_task("sphere", 6, 77)
-        result = run(task, RunConfig(algorithm="samtpso-s2", pop_per_task=10, seed=2, max_gens=20))
+        problem = MtoProblem((make_task("sphere", 6, 77),))
+        result = run(problem, RunConfig(algorithm="samtpso-s2", pop_per_task=10, seed=2, max_gens=20))
         assert result.fev_trace.shape == (20, 1)
 
     def test_k1_s2_bit_identical_to_pso(self):
-        task = make_task("sphere", 10, 31)
-        s2 = run(task, RunConfig(algorithm="samtpso-s2", pop_per_task=20, seed=17, max_gens=50))
-        pso = run(task, RunConfig(algorithm="pso", pop_per_task=20, seed=17, max_gens=50))
+        problem = MtoProblem((make_task("sphere", 10, 31),))
+        s2 = run(problem, RunConfig(algorithm="samtpso-s2", pop_per_task=20, seed=17, max_gens=50))
+        pso = run(problem, RunConfig(algorithm="pso", pop_per_task=20, seed=17, max_gens=50))
         assert np.array_equal(s2.fev_trace, pso.fev_trace)
         assert np.array_equal(s2.best_positions, pso.best_positions)
 
@@ -443,7 +443,7 @@ class TestBatch:
             tasks[widest] = (tasks[widest][0], d_u)
             task_seed = data.draw(st.integers(0, 2**16))
             defs = tuple(make_task(fn, d, task_seed + i) for i, (fn, d) in enumerate(tasks))
-            return defs[0] if k == 1 else MtoProblem(tasks=defs)
+            return MtoProblem(tasks=defs)
 
         problems = [draw_problem() for _ in range(data.draw(st.integers(1, 3), label="problems"))]
         family = data.draw(st.sampled_from([("samtpso-s1",), ("samtpso-s2", "pso")]))
@@ -479,19 +479,39 @@ class TestBatch:
     def test_configs_must_differ_only_in_seed_lp_bp(self):
         base = RunConfig(pop_per_task=4, max_gens=3)
         with pytest.raises(ValueError, match="seed, lp and bp"):
-            init_swarm(small_problem(), [base, replace(base, c1=1.0)])
+            init_swarm([small_problem()] * 2, [base, replace(base, c1=1.0)])
         with pytest.raises(ValueError, match="seed, lp and bp"):
-            init_swarm(small_problem(), [])
+            init_swarm([], [])
+
+    def test_one_problem_per_config(self):
+        base = RunConfig(pop_per_task=4, max_gens=3)
+        with pytest.raises(ValueError, match="2 configs needs 2 problems, got 1"):
+            init_swarm([small_problem()], [base, replace(base, seed=1)])
+        with pytest.raises(ValueError, match="2 configs needs 2 problems, got 3"):
+            run_batch([small_problem()] * 3, [base, replace(base, seed=1)])
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            MtoProblem((make_task("sphere", 5, 7),)),  # K = 1
+            MtoProblem((make_task("sphere", 6, 7), make_task("rastrigin", 5, 8))),  # D_u = 6
+        ],
+        ids=["task count", "unified dimension"],
+    )
+    def test_cells_must_share_task_count_and_unified_dimension(self, other):
+        base = RunConfig(pop_per_task=4, max_gens=3)
+        with pytest.raises(ValueError, match="same task count and unified dimension"):
+            init_swarm([small_problem(), other], [base, replace(base, seed=1)])
 
     def test_rows_are_task_major(self):
         base = RunConfig(pop_per_task=4, max_gens=3)
         configs = [replace(base, seed=s) for s in (1, 2, 3)]
-        state = init_swarm(small_problem(), configs)
+        state = init_swarm([small_problem()] * 3, configs)
         assert state.positions.shape == (6, 4, 5)
         assert adaptation.row_tasks(6, 2).tolist() == [0, 0, 0, 1, 1, 1]
         assert state.last_source[:, 0].tolist() == [0, 0, 0, 1, 1, 1]
         for c, config in enumerate(configs):
-            alone = init_swarm(small_problem(), config)
+            alone = init_swarm([small_problem()], [config])
             assert np.array_equal(state.positions[c::3], alone.positions)
             assert np.array_equal(state.pbest_fit[c::3], alone.pbest_fit)
 
