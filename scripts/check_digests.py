@@ -16,6 +16,11 @@ optimizer was first stacked:
   ``bench/workloads.py``), S1/S2, 2 runs x 1,000 generations, master seed
   424244.
 
+Each manifest then runs again with ``write_convergence`` and
+``write_transfer`` off, so that its runs record no trace or source counts;
+its ``results.csv`` (and the sweep's ``scores.csv``) must match the same
+digests.
+
 A refactor that changes any draw, floating-point operation or written digit
 changes a digest. Prints one line per artifact and exits 1 on any mismatch.
 """
@@ -88,24 +93,41 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# The second pass: the write flags off, and the artifacts still written.
+NO_RECORDS = {"write_convergence": False, "write_transfer": False}
+UNRECORDED = ("results.csv", "scores.csv")
+
+
+def expected_artifacts(name: str, records: bool) -> dict[str, str]:
+    return {a: d for a, d in EXPECTED[name].items() if records or a in UNRECORDED}
+
+
 def check(work: Path) -> int:
     mismatches = 0
-    for name, (config, command) in manifests(work).items():
-        config_path = work / f"{name}.json"
-        config_path.write_text(json.dumps(config))
-        out = work / name
-        argv = [command[0], "--config", str(config_path), "--out", str(out), "--quiet", *command[1:]]
-        with contextlib.redirect_stdout(io.StringIO()):
-            status = mtpso.cli.main(argv)
-        if status != 0:
-            print(f"{name}: mtpso {command[0]} exited with status {status}")
-            mismatches += len(EXPECTED[name])
-            continue
-        for artifact, expected in EXPECTED[name].items():
-            got = sha256(out / artifact) if (out / artifact).is_file() else "missing"
-            ok = got == expected
-            mismatches += not ok
-            print(f"{name}/{artifact}: {'ok' if ok else 'MISMATCH ' + got}")
+    runs = manifests(work)
+    for records in (True, False):
+        # the config file's stem names the experiment, so each pass has
+        # its own directory
+        where = work if records else work / "no-records"
+        where.mkdir(exist_ok=True)
+        for name, (config, command) in runs.items():
+            config_path = where / f"{name}.json"
+            config_path.write_text(json.dumps(config if records else {**config, **NO_RECORDS}))
+            out = where / name
+            label = name if records else f"{name} (records off)"
+            expected = expected_artifacts(name, records)
+            argv = [command[0], "--config", str(config_path), "--out", str(out), "--quiet", *command[1:]]
+            with contextlib.redirect_stdout(io.StringIO()):
+                status = mtpso.cli.main(argv)
+            if status != 0:
+                print(f"{label}: mtpso {command[0]} exited with status {status}")
+                mismatches += len(expected)
+                continue
+            for artifact, digest in expected.items():
+                got = sha256(out / artifact) if (out / artifact).is_file() else "missing"
+                ok = got == digest
+                mismatches += not ok
+                print(f"{label}/{artifact}: {'ok' if ok else 'MISMATCH ' + got}")
     return mismatches
 
 
@@ -119,7 +141,7 @@ def main(argv=None) -> int:
     else:
         with tempfile.TemporaryDirectory() as tmp:
             mismatches = check(Path(tmp))
-    total = sum(len(d) for d in EXPECTED.values())
+    total = sum(len(expected_artifacts(name, records)) for name in EXPECTED for records in (True, False))
     print(f"{total - mismatches} of {total} digests match")
     return 1 if mismatches else 0
 

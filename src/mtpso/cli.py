@@ -1,7 +1,13 @@
 """Command-line experiment runner.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 a worker
-process died (the error names the cells that never returned).
+Exit codes:
+
+- 0: success;
+- 2: a configuration or input error: an invalid config, a malformed or
+  missing task file, or a task that gave a non-finite fitness;
+- 3: an I/O error;
+- 4: a worker process died (the error names the cells that never
+  returned).
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import numpy as np
 from . import harness, metrics
 from .benchmarks import BenchmarkDataError
 from .harness import ConfigError, ExperimentSpec
+from .optimizer import NonFiniteFitnessError
 
 SEED_ENV_VAR = "MTPSO_SEED"
 
@@ -186,7 +193,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, BenchmarkDataError, FileNotFoundError) as exc:
+    except (ConfigError, BenchmarkDataError, NonFiniteFitnessError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

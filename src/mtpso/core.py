@@ -67,8 +67,13 @@ class TaskDef:
                 raise DimensionMismatchError(
                     f"{name} must have shape ({self.dim},), got {vec.shape}"
                 )
+        if not (np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper))):
+            raise ValueError("box bounds must be finite")
         if not np.all(self.lower < self.upper):
             raise ValueError("lower bound must be strictly below upper bound in every dimension")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(self.upper - self.lower)):
+                raise ValueError("box width upper - lower must be finite (it overflows)")
         if self.rotation.shape != (self.dim, self.dim):
             raise DimensionMismatchError(
                 f"rotation must be {self.dim}x{self.dim}, got {self.rotation.shape}"

@@ -14,10 +14,10 @@ import hashlib
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -247,7 +247,7 @@ def derive_seed(master_seed: int, algorithm: str, problem_id: int, run_index: in
 
 
 def _cell_result(cell, result: RunResult) -> CellResult:
-    label, config, problem, problem_id, run_index, keep_trace, keep_counts = cell
+    label, config, problem, problem_id, run_index, *_ = cell
     return CellResult(
         algorithm=label,
         problem_id=problem_id,
@@ -256,23 +256,27 @@ def _cell_result(cell, result: RunResult) -> CellResult:
         num_tasks=problem.num_tasks,
         pop_per_task=config.pop_per_task,
         final_fevs=result.best_fevs,
-        trace=result.fev_trace if keep_trace else None,
-        source_counts=result.source_counts if keep_counts else None,
+        trace=result.fev_trace,
+        source_counts=result.source_counts,
     )
 
 
 def _run_cell(cell) -> CellResult:
-    """One cell, run on its own."""
-    return _cell_result(cell, run(cell[2], cell[1]))
+    """One cell, run on its own, recording what its keep flags say."""
+    _, config, problem, _, _, keep_trace, keep_counts = cell
+    return _cell_result(cell, run(problem, config, record_trace=keep_trace, record_counts=keep_counts))
 
 
 def _run_batch(batch: list) -> list[CellResult]:
-    """One pool task: the cells of a batch, stepped as one stacked swarm.
-    A batch of one goes through :func:`_run_cell`, the per-cell entry
-    point that the benchmark's tracer wraps."""
+    """One pool task: the cells of a batch, stepped as one stacked swarm;
+    the cells of a grid share their keep flags. A batch of one goes through
+    :func:`_run_cell`, the per-cell entry point that the benchmark's tracer
+    wraps."""
     if len(batch) == 1:
         return [_run_cell(batch[0])]
-    results = run_batch([cell[2] for cell in batch], [cell[1] for cell in batch])
+    keep_trace, keep_counts = batch[0][5:]
+    problems, configs = [cell[2] for cell in batch], [cell[1] for cell in batch]
+    results = run_batch(problems, configs, record_trace=keep_trace, record_counts=keep_counts)
     return [_cell_result(cell, result) for cell, result in zip(batch, results)]
 
 
@@ -298,17 +302,21 @@ def _batches(cells: list, jobs: int) -> list[list[int]]:
 
 
 def _pool_outputs(futures: list, batches: list[list[int]], cells: list):
-    """The results of the pool's batches in order. If a worker process
+    """The results of the pool's batches in order; a future is dropped once
+    its result is taken, since it holds that result. If a worker process
     dies, raise WorkerCrashError naming the (algorithm, problem, run) cells
     of every batch that never returned."""
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
-        for future in futures:
+        for i, future in enumerate(futures):
             yield future.result()
+            futures[i] = None
     except BrokenProcessPool as exc:
         names = ", ".join(
             f"({label}, {pid}, {run_index})"
             for batch, future in zip(batches, futures)
-            if future.exception() is not None
+            if future is not None and future.exception() is not None
             for label, _, _, pid, run_index, *_ in (cells[i] for i in batch)
         )
         raise WorkerCrashError(
@@ -316,7 +324,8 @@ def _pool_outputs(futures: list, batches: list[list[int]], cells: list):
         ) from exc
     finally:
         for future in futures:
-            future.cancel()
+            if future is not None:
+                future.cancel()
 
 
 def _check_jobs(jobs: int) -> None:
@@ -324,23 +333,15 @@ def _check_jobs(jobs: int) -> None:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
 
 
-def execute(
-    spec: ExperimentSpec,
-    jobs: int = 1,
-    progress=None,
-    problems: list[tuple[int, MtoProblem]] | None = None,
-) -> list[CellResult]:
-    """Run the whole grid; cells come back ordered by (algorithm, problem,
-    run) regardless of worker count or batching, each with its trace only
-    under the spec's ``write_convergence`` and its source counts only under
-    ``write_transfer``. ``problems`` is the spec's resolved problem list,
-    loaded here when not given. ``jobs`` below 1 is a ConfigError; a grid of
-    fewer batches than ``jobs`` starts one worker per batch, and a grid of
-    one batch runs in this process."""
-    _check_jobs(jobs)
+def _grid_cells(
+    spec: ExperimentSpec, jobs: int, progress, problems: list[tuple[int, MtoProblem]]
+) -> Iterator[CellResult]:
+    """The grid's cells in (algorithm, problem, run) order, each yielded as
+    soon as it and every cell before it have returned. Batches are grouped
+    by shape and sorted by problem, so a cell can return before an earlier
+    one; it is held until then. A grid of more than one batch and ``jobs``
+    above 1 runs on a process pool."""
     keep = (spec.write_convergence, spec.write_transfer)
-    if problems is None:
-        problems = resolve_problems(spec)
     cells = []
     for label, config in spec.algorithms:
         for pid, problem in problems:
@@ -352,22 +353,46 @@ def execute(
     batches = _batches(cells, jobs)
     tasks = [[cells[i] for i in batch] for batch in batches]
     workers = min(jobs, len(batches))
-    results: list = [None] * len(cells)
-    done = 0
+    early: dict[int, CellResult] = {}
+    next_cell = done = 0
     with contextlib.ExitStack() as stack:
         if workers <= 1:
             outputs = map(_run_batch, tasks)
         else:
+            # imported here, so that a serial grid loads neither the pool
+            # nor multiprocessing nor the logging the pool module uses
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             futures = [pool.submit(_run_batch, task) for task in tasks]
             outputs = _pool_outputs(futures, batches, cells)
         for batch, out in zip(batches, outputs):
-            for i, cell_result in zip(batch, out):
-                results[i] = cell_result
+            early.update(zip(batch, out))
             done += len(batch)
             if progress is not None:
                 progress(done, len(cells))
-    return results
+            while next_cell in early:
+                yield early.pop(next_cell)
+                next_cell += 1
+
+
+def execute(
+    spec: ExperimentSpec,
+    jobs: int = 1,
+    progress=None,
+    problems: list[tuple[int, MtoProblem]] | None = None,
+) -> list[CellResult]:
+    """Run the whole grid; cells come back ordered by (algorithm, problem,
+    run) regardless of worker count or batching, each with its trace only
+    under the spec's ``write_convergence`` and its source counts only under
+    ``write_transfer`` (a run records nothing else). ``problems`` is the
+    spec's resolved problem list, loaded here when not given. ``jobs``
+    below 1 is a ConfigError; a grid of fewer batches than ``jobs`` starts
+    one worker per batch, and a grid of one batch runs in this process."""
+    _check_jobs(jobs)
+    if problems is None:
+        problems = resolve_problems(spec)
+    return list(_grid_cells(spec, jobs, progress, problems))
 
 
 # ---------------------------------------------------------------------------
@@ -379,23 +404,20 @@ def _writer(fh):
     return csv.writer(fh, lineterminator="\n")
 
 
-def write_results_csv(path, experiment_name: str, cells: list[CellResult]) -> None:
-    with open(path, "w", newline="") as fh:
-        out = _writer(fh)
-        out.writerow(RESULTS_HEADER)
-        for cell in cells:
-            for task in range(cell.num_tasks):
-                out.writerow(
-                    [
-                        experiment_name,
-                        cell.algorithm,
-                        cell.problem_id,
-                        task + 1,
-                        cell.run_index,
-                        cell.seed,
-                        repr(float(cell.final_fevs[task])),
-                    ]
-                )
+def _results_rows(experiment_name: str, fh, cell: CellResult) -> None:
+    out = _writer(fh)
+    for task in range(cell.num_tasks):
+        out.writerow(
+            [
+                experiment_name,
+                cell.algorithm,
+                cell.problem_id,
+                task + 1,
+                cell.run_index,
+                cell.seed,
+                repr(float(cell.final_fevs[task])),
+            ]
+        )
 
 
 def _cell_prefix(cell: CellResult) -> str:
@@ -407,33 +429,44 @@ def _cell_prefix(cell: CellResult) -> str:
     return label.getvalue()[:-1]
 
 
-def write_convergence_csv(path, cells: list[CellResult]) -> None:
+def _convergence_rows(fh, cell: CellResult) -> None:
+    if cell.trace is None:
+        return
+    prefix = _cell_prefix(cell)
+    for g, row in enumerate(cell.trace, start=1):
+        fh.write("".join(f"{prefix}{g},{task},{v!r}\n" for task, v in enumerate(row.tolist(), start=1)))
+
+
+def _transfer_rows(fh, cell: CellResult) -> None:
+    if cell.source_counts is None:
+        return
+    # a fraction is count / pop_per_task: N + 1 strings, each formatted once
+    n = cell.pop_per_task
+    fractions = [repr(i / n) for i in range(n + 1)]
+    prefix = _cell_prefix(cell)
+    k = cell.num_tasks
+    pairs = [f"{task + 1},{source + 1}," for task in range(k) for source in range(k)]
+    for g, row in enumerate(cell.source_counts.reshape(-1, k * k), start=2):
+        fh.write("".join(f"{prefix}{g},{pair}{fractions[c]}\n" for pair, c in zip(pairs, row.tolist())))
+
+
+def _write_csv(path, header: list[str], rows, cells) -> None:
     with open(path, "w", newline="") as fh:
-        _writer(fh).writerow(CONVERGENCE_HEADER)
+        _writer(fh).writerow(header)
         for cell in cells:
-            if cell.trace is None:
-                continue
-            prefix = _cell_prefix(cell)
-            for g, row in enumerate(cell.trace, start=1):
-                fh.write("".join(f"{prefix}{g},{task},{v!r}\n" for task, v in enumerate(row.tolist(), start=1)))
+            rows(fh, cell)
+
+
+def write_results_csv(path, experiment_name: str, cells: list[CellResult]) -> None:
+    _write_csv(path, RESULTS_HEADER, partial(_results_rows, experiment_name), cells)
+
+
+def write_convergence_csv(path, cells: list[CellResult]) -> None:
+    _write_csv(path, CONVERGENCE_HEADER, _convergence_rows, cells)
 
 
 def write_transfer_csv(path, cells: list[CellResult]) -> None:
-    with open(path, "w", newline="") as fh:
-        _writer(fh).writerow(TRANSFER_HEADER)
-        for cell in cells:
-            if cell.source_counts is None:
-                continue
-            # a fraction is count / pop_per_task: N + 1 strings, each
-            # formatted once
-            n = cell.pop_per_task
-            fractions = [repr(i / n) for i in range(n + 1)]
-            prefix = _cell_prefix(cell)
-            k = cell.num_tasks
-            pairs = [f"{task + 1},{source + 1}," for task in range(k) for source in range(k)]
-            for g, row in enumerate(cell.source_counts.reshape(-1, k * k), start=2):
-                lines = (f"{prefix}{g},{pair}{fractions[c]}\n" for pair, c in zip(pairs, row.tolist()))
-                fh.write("".join(lines))
+    _write_csv(path, TRANSFER_HEADER, _transfer_rows, cells)
 
 
 def spec_to_manifest(spec: ExperimentSpec) -> dict:
@@ -475,19 +508,35 @@ def run_experiment(
     """Execute the grid and write results/convergence/transfer/manifest
     under the spec's output directory; returns that directory.
     ``problems`` is the spec's resolved problem list, loaded here when not
-    given; the manifest lists its ids."""
+    given; the manifest lists its ids.
+
+    The CSV files are written as the grid runs, a cell as soon as every
+    cell before it in grid order is written, and each cell is dropped once
+    written. The manifest is written last, so a grid that fails leaves
+    files that hold a grid-order prefix of complete cells, and no
+    manifest."""
     _check_jobs(jobs)
     if problems is None:
         problems = resolve_problems(spec)
     spec = replace(spec, problem_ids=tuple(pid for pid, _ in problems))
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = execute(spec, jobs=jobs, progress=progress, problems=problems)
-    write_results_csv(out_dir / "results.csv", spec.name, cells)
+    outputs = [("results.csv", RESULTS_HEADER, partial(_results_rows, spec.name))]
     if spec.write_convergence:
-        write_convergence_csv(out_dir / "convergence.csv", cells)
+        outputs.append(("convergence.csv", CONVERGENCE_HEADER, _convergence_rows))
     if spec.write_transfer:
-        write_transfer_csv(out_dir / "transfer.csv", cells)
+        outputs.append(("transfer.csv", TRANSFER_HEADER, _transfer_rows))
+    with contextlib.ExitStack() as stack:
+        files = []
+        for name, header, rows in outputs:
+            fh = stack.enter_context(open(out_dir / name, "w", newline=""))
+            _writer(fh).writerow(header)
+            files.append((fh, rows))
+        # closed on the way out, so that a failed write stops the pool too
+        cells = stack.enter_context(contextlib.closing(_grid_cells(spec, jobs, progress, problems)))
+        for cell in cells:
+            for fh, rows in files:
+                rows(fh, cell)
     write_manifest(out_dir / "manifest.json", spec)
     return out_dir
 

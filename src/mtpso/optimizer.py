@@ -82,16 +82,18 @@ class RunResult:
     """Everything one run produces.
 
     ``fev_trace[g-1, t]`` is task t's best error value at generation g
-    (generation 1 is the evaluated initial population). ``source_counts``
-    is None for the plain PSO baseline; otherwise ``source_counts[j, t, k]``
-    counts task t's particles that chose source k in generation j+2, in the
-    smallest unsigned integer type that holds ``pop_per_task``.
+    (generation 1 is the evaluated initial population), or None for a run
+    that did not record it. ``source_counts`` is None for the plain PSO
+    baseline and for a run that did not record it; otherwise
+    ``source_counts[j, t, k]`` counts task t's particles that chose source
+    k in generation j+2, in the smallest unsigned integer type that holds
+    ``pop_per_task``.
     """
 
     algorithm: str
     seed: int
     pop_per_task: int
-    fev_trace: np.ndarray
+    fev_trace: np.ndarray | None
     source_counts: np.ndarray | None
     best_positions: np.ndarray
     best_fevs: np.ndarray
@@ -386,31 +388,43 @@ def run_generation(state: SwarmState) -> np.ndarray | None:
     return counts
 
 
-def run_batch(problems: Sequence[MtoProblem], configs: Sequence[RunConfig], observer=None) -> list[RunResult]:
+def run_batch(
+    problems: Sequence[MtoProblem],
+    configs: Sequence[RunConfig],
+    observer=None,
+    record_trace: bool = True,
+    record_counts: bool = True,
+) -> list[RunResult]:
     """Execute the runs of a batch, one problem and one config per cell, all
     cells with the same :func:`batch_key` (see :func:`init_swarm`), side by
     side for ``max_gens`` generations; one RunResult per cell, each equal
     bit for bit to that cell's run on its own.
 
-    ``observer(state)``, when given, is called after the initial evaluation
-    and after every generation; useful for invariant checks.
+    The per-generation trace and source counts are recorded only under
+    ``record_trace`` and ``record_counts``; neither changes a draw or a
+    final best. ``observer(state)``, when given, is called after the
+    initial evaluation and after every generation; useful for invariant
+    checks.
     """
     state = init_swarm(problems, configs)
     k, cells = state.probs.shape[1], state.cells
     gens = state.config.max_gens
     # cell-major, so that each cell's trace and counts are contiguous; a
     # count is at most pop_per_task, which sets the counts' integer type
-    trace = np.empty((cells, gens, k))
-    trace[:, 0] = state.gbest_fit.reshape(k, cells).T
+    trace = np.empty((cells, gens, k)) if record_trace else None
     count_type = np.min_scalar_type(state.config.pop_per_task)
-    counts_hist = np.zeros((cells, gens - 1, k, k), dtype=count_type) if state.transfer.any() else None
+    record_counts = record_counts and state.transfer.any()
+    counts_hist = np.zeros((cells, gens - 1, k, k), dtype=count_type) if record_counts else None
+    if record_trace:
+        trace[:, 0] = state.gbest_fit.reshape(k, cells).T
     if observer is not None:
         observer(state)
     while state.generation < gens:
         counts = run_generation(state)
         g = state.generation
-        trace[:, g - 1] = state.gbest_fit.reshape(k, cells).T
-        if counts is not None:
+        if record_trace:
+            trace[:, g - 1] = state.gbest_fit.reshape(k, cells).T
+        if record_counts:
             counts_hist[:, g - 2] = counts.reshape(k, cells, k).transpose(1, 0, 2)
         if observer is not None:
             observer(state)
@@ -419,17 +433,23 @@ def run_batch(problems: Sequence[MtoProblem], configs: Sequence[RunConfig], obse
             algorithm=config.algorithm,
             seed=config.seed,
             pop_per_task=config.pop_per_task,
-            fev_trace=trace[c],
-            source_counts=counts_hist[c] if state.transfer[c] else None,
+            fev_trace=trace[c] if record_trace else None,
+            source_counts=counts_hist[c] if record_counts and state.transfer[c] else None,
             best_positions=state.gbest_pos[c::cells].copy(),
-            best_fevs=trace[c, -1].copy(),
+            best_fevs=state.gbest_fit[c::cells].copy(),
         )
         for c, config in enumerate(state.configs)
     ]
 
 
-def run(problem: MtoProblem, config: RunConfig, observer=None) -> RunResult:
+def run(
+    problem: MtoProblem,
+    config: RunConfig,
+    observer=None,
+    record_trace: bool = True,
+    record_counts: bool = True,
+) -> RunResult:
     """Execute one full run of ``config.max_gens`` generations: a batch of
     one (see :func:`run_batch`). A single-task run passes a one-task
     problem, ``MtoProblem((task,))``."""
-    return run_batch((problem,), (config,), observer)[0]
+    return run_batch((problem,), (config,), observer, record_trace, record_counts)[0]

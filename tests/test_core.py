@@ -113,6 +113,19 @@ class TestTaskDefInvariants:
         with pytest.raises(ValueError, match="lower bound"):
             plain_task(dim=2, lower=10, upper=-10)
 
+    @pytest.mark.parametrize(
+        "lower, upper, message",
+        [
+            (-np.inf, 1.0, "bounds must be finite"),
+            (-1.0, np.inf, "bounds must be finite"),
+            (np.nan, 1.0, "bounds must be finite"),
+            (-1e308, 1e308, "width upper - lower must be finite"),
+        ],
+    )
+    def test_bounds_and_width_must_be_finite(self, lower, upper, message):
+        with pytest.raises(ValueError, match=message):
+            plain_task(dim=2, lower=lower, upper=upper, shift=[0.0, 0.0])
+
     def test_rotation_must_be_orthogonal(self):
         with pytest.raises(ValueError, match="orthogonal"):
             TaskDef(

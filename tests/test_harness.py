@@ -1,9 +1,14 @@
+import concurrent.futures
 import csv
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+import tracemalloc
 from concurrent.futures import Future
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +16,7 @@ import pytest
 from mtpso import benchmarks, cli, harness, metrics
 from mtpso.benchmarks import build_suite, make_task, problem_to_dict
 from mtpso.core import MtoProblem, RunConfig
-from mtpso.optimizer import batch_key, run
+from mtpso.optimizer import NonFiniteFitnessError, batch_key, run
 from mtpso.harness import (
     ConfigError,
     derive_seed,
@@ -191,19 +196,35 @@ class TestExecute:
     def test_keeps_what_the_write_flags_say(self, tiny_problems, tmp_path):
         """A cell holds its trace exactly when ``write_convergence`` is set
         and its source counts exactly when ``write_transfer`` is (PSO has
-        none either way); ``execute`` writes no file."""
+        none either way); ``execute`` writes no file. What is not recorded
+        changes no byte of what is written, at one job or two."""
+        cells = {}
         for convergence in (False, True):
             for transfer in (False, True):
                 cfg = tiny_config(tiny_problems, tmp_path / "out", write_convergence=convergence, write_transfer=transfer)
-                for cell in execute(parse_experiment(cfg), jobs=1):
-                    assert (cell.trace is not None) == convergence
-                    has_counts = transfer and cell.algorithm != "pso"
-                    assert (cell.source_counts is not None) == has_counts
-                    if convergence:
-                        assert cell.trace.shape == (12, 2)
-                    if has_counts:
-                        assert cell.source_counts.shape == (11, 2, 2)
+                for jobs in (1, 2):
+                    got = cells[convergence, transfer, jobs] = execute(parse_experiment(cfg), jobs=jobs)
+                    for cell in got:
+                        assert (cell.trace is not None) == convergence
+                        has_counts = transfer and cell.algorithm != "pso"
+                        assert (cell.source_counts is not None) == has_counts
+                        if convergence:
+                            assert cell.trace.shape == (12, 2)
+                        if has_counts:
+                            assert cell.source_counts.shape == (11, 2, 2)
         assert not (tmp_path / "out").exists()
+        written = {}
+        for (convergence, transfer, jobs), got in cells.items():
+            assert [c.final_fevs.tolist() for c in got] == [c.final_fevs.tolist() for c in cells[True, True, 1]]
+            cfg = tiny_config(
+                tiny_problems, tmp_path / f"out-{convergence}-{transfer}-{jobs}",
+                write_convergence=convergence, write_transfer=transfer,
+            )
+            out = run_experiment(parse_experiment(cfg), jobs=jobs)
+            names = ["results.csv"] + ["convergence.csv"] * convergence + ["transfer.csv"] * transfer
+            assert sorted(f.name for f in out.iterdir()) == sorted(names + ["manifest.json"])
+            for name in names:
+                assert written.setdefault(name, (out / name).read_bytes()) == (out / name).read_bytes(), name
 
 
 class TestBatches:
@@ -347,7 +368,9 @@ class TestJobsKey:
 @pytest.fixture()
 def pool_sizes(monkeypatch):
     """Stands in for the process pool: records each pool's ``max_workers``
-    and runs what is submitted in this process, so no process starts."""
+    and runs what is submitted in this process, so no process starts. The
+    harness imports the pool class from ``concurrent.futures`` only when a
+    grid starts a pool, so the stand-in replaces it there."""
     sizes = []
 
     class FakePool:
@@ -365,7 +388,7 @@ def pool_sizes(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     return sizes
 
 
@@ -480,6 +503,88 @@ class TestRunExperiment:
         out_parallel = run_experiment(spec2, jobs=2)
         assert (out_serial / "results.csv").read_bytes() == (out_parallel / "results.csv").read_bytes()
         assert (out_serial / "transfer.csv").read_bytes() == (out_parallel / "transfer.csv").read_bytes()
+
+
+class TestMemory:
+    """A grid holds what it writes and no more: a run records a trace or
+    source counts only for a file that is written, a written cell is
+    dropped, and the process pool is imported only when a grid starts one."""
+
+    @staticmethod
+    def traced_peak(fn) -> int:
+        """Peak bytes that Python and numpy allocate while ``fn`` runs."""
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_import_loads_no_pool(self):
+        src = Path(harness.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        code = (
+            "import sys, mtpso, mtpso.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures', 'concurrent.futures.process') "
+            "if m in sys.modules])"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_execute_without_records_does_not_grow_with_generations(self, tiny_problems, tmp_path):
+        def peak(gens, record):
+            cfg = tiny_config(
+                tiny_problems, tmp_path / "out", algorithms=["samtpso-s1"], problem_ids=[1], max_gens=gens,
+                write_convergence=record, write_transfer=record,
+            )
+            spec = parse_experiment(cfg)
+            return self.traced_peak(lambda: execute(spec))
+
+        peak(50, False)  # first-call allocations
+        short = peak(50, False)
+        assert peak(1000, False) <= short + 8192
+        # recorded, the grid's two cells hold 1000 x 2 doubles of trace each
+        assert peak(1000, True) >= short + 2 * 1000 * 2 * 8
+
+    # (jobs, runs, cells of slack): a two-worker pool can finish a batch or
+    # two while an earlier one is being written
+    @pytest.mark.parametrize("jobs, runs, slack", [(1, 8, 1), (2, 12, 4)])
+    def test_run_experiment_peak_does_not_grow_with_runs(self, tmp_path, monkeypatch, jobs, runs, slack):
+        monkeypatch.setattr(harness, "BATCH_ELEMENTS", 1)  # a batch of one cell each
+        k, gens = 6, 300  # six tasks, so that a cell's records outweigh the grid's bookkeeping
+        path = tmp_path / "problems.json"
+        problem = MtoProblem(tasks=tuple(make_task("sphere", 3, t) for t in range(k)))
+        path.write_text(json.dumps({"problems": [problem_to_dict(problem)]}))
+
+        def peak(runs):
+            out = tmp_path / f"runs{runs}"
+            cfg = tiny_config(str(path), out, algorithms=["samtpso-s1"], runs=runs, max_gens=gens)
+            return self.traced_peak(lambda: run_experiment(parse_experiment(cfg), jobs=jobs))
+
+        peak(2)  # first-call allocations, and the first pool's imports
+        # one cell's trace (G x K doubles) and source counts ((G - 1) x K x K bytes)
+        cell = gens * k * 8 + (gens - 1) * k * k
+        assert peak(runs) <= peak(2) + slack * cell
+
+    def test_failed_grid_leaves_a_prefix_of_complete_cells_and_no_manifest(self, tmp_path):
+        benchmarks.register_base("nan-in-last-problem", lambda y: np.full(np.shape(y)[:-1], np.nan), -1, 1)
+        problems = [
+            MtoProblem(tasks=(make_task("sphere", 3, 1), make_task("rastrigin", 3, 2))),
+            # another unified dimension, so other batches, which run after the first problem's
+            MtoProblem(tasks=(make_task("sphere", 4, 3), make_task("nan-in-last-problem", 4, 4))),
+        ]
+        path = tmp_path / "problems.json"
+        path.write_text(json.dumps({"problems": [problem_to_dict(p) for p in problems]}))
+        cfg = tiny_config(str(path), tmp_path / "failed")
+        with pytest.raises(NonFiniteFitnessError, match="nan-in-last-problem"):
+            run_experiment(parse_experiment(cfg))
+        # the grid's first cells: S1 on problem 1; S1 on problem 2 failed
+        cfg.update(algorithms=["samtpso-s1"], problem_ids=[1], output_dir=str(tmp_path / "complete"))
+        complete = run_experiment(parse_experiment(cfg))
+        failed = tmp_path / "failed"
+        assert sorted(f.name for f in failed.iterdir()) == ["convergence.csv", "results.csv", "transfer.csv"]
+        for name in ("results.csv", "convergence.csv", "transfer.csv"):
+            assert (failed / name).read_bytes() == (complete / name).read_bytes(), name
 
 
 class TestScoring:
@@ -706,25 +811,28 @@ class TestCli:
         return str(path)
 
     @staticmethod
-    def set_field(task, key, value):
-        """A two-task file whose task ``task`` (1-based) has ``key`` set to
-        ``value``, as the JSON text of its problem list."""
+    def set_fields(task, **fields):
+        """A two-task file whose task ``task`` (1-based) has the given
+        fields set, as the JSON text of its problem list."""
         problem = problem_to_dict(MtoProblem(tasks=(make_task("sphere", 3, 1), make_task("sphere", 3, 2))))
-        problem["tasks"][task - 1][key] = value
+        problem["tasks"][task - 1].update(fields)
         return json.dumps({"problems": [problem]})
 
     # (file text, what the error line must say after the file name)
     MALFORMED_TWO_TASK_FILES = [
-        (set_field(2, "dim", True), "problem 1, task 2: 'dim' must be a positive integer"),
-        (set_field(1, "fn", ["sphere"]), "problem 1, task 1: unknown function ['sphere']"),
-        (set_field(2, "rotation", [["x"]]), "problem 1, task 2: could not convert string to float: 'x'"),
-        (set_field(1, "rotation", [[float("nan"), 0, 0], [0, 1, 0], [0, 0, 1]]),
+        (set_fields(2, dim=True), "problem 1, task 2: 'dim' must be a positive integer"),
+        (set_fields(1, fn=["sphere"]), "problem 1, task 1: unknown function ['sphere']"),
+        (set_fields(2, rotation=[["x"]]), "problem 1, task 2: could not convert string to float: 'x'"),
+        (set_fields(1, rotation=[[float("nan"), 0, 0], [0, 1, 0], [0, 0, 1]]),
          "problem 1, task 1: rotation is not orthogonal"),
-        (set_field(2, "rotation", [[1, 0, 0], [0, float("inf"), 0], [0, 0, 1]]),
+        (set_fields(2, rotation=[[1, 0, 0], [0, float("inf"), 0], [0, 0, 1]]),
          "problem 1, task 2: rotation is not orthogonal"),
-        (set_field(1, "rotation", {"rows": 3}), "problem 1, task 1: float() argument must be"),
-        (set_field(2, "upper", True), "problem 1, task 2: 'upper' must be a scalar or length-3 array"),
-        (set_field(1, "lower", [[-1, -1, -1]]), "problem 1, task 1: 'lower' must be a scalar or length-3 array"),
+        (set_fields(1, rotation={"rows": 3}), "problem 1, task 1: float() argument must be"),
+        (set_fields(2, upper=True), "problem 1, task 2: 'upper' must be a scalar or length-3 array"),
+        (set_fields(1, lower=[[-1, -1, -1]]), "problem 1, task 1: 'lower' must be a scalar or length-3 array"),
+        # json.dumps writes -Infinity, which json.load reads back
+        (set_fields(2, lower=float("-inf")), "problem 1, task 2: box bounds must be finite"),
+        (set_fields(1, lower=-1e308, upper=1e308), "problem 1, task 1: box width upper - lower must be finite"),
     ]
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "lp", "--values", "2"]])
@@ -743,6 +851,21 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {path}: {expected}"), err
             assert not (tmp_path / "out").exists()
+
+    def test_non_finite_fitness_in_a_finite_box_exits_2(self, tmp_path, capsys):
+        """Sphere on +-1e200 squares coordinates past the largest double;
+        the box is valid, the fitness is not."""
+        problem = problem_to_dict(MtoProblem(tasks=(make_task("sphere", 3, 1), make_task("sphere", 3, 2))))
+        problem["tasks"][1].update(lower=-1e200, upper=1e200)
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({"problems": [problem]}))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(tiny_config(str(path), tmp_path / "out")))
+        with np.errstate(over="ignore"):
+            assert cli.main(["run", "--config", str(cfg_path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: task index 1 (base function 'sphere') gave a non-finite fitness"), err
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
     @pytest.mark.parametrize(
         "command, expected",

@@ -466,15 +466,21 @@ class TestBatch:
             RunConfig(algorithm=algorithm, pop_per_task=6, max_gens=14, seed=seed, lp=lp, bp=bp)
             for _, algorithm, seed, lp, bp in cells
         ]
-        for problem, config, got in zip(batch, configs, run_batch(batch, configs)):
+        unrecorded = run_batch(batch, configs, record_trace=False, record_counts=False)
+        for problem, config, got, bare in zip(batch, configs, run_batch(batch, configs), unrecorded):
             alone = run(problem, config)
             assert got.seed == config.seed and got.algorithm == config.algorithm
             assert np.array_equal(got.fev_trace, alone.fev_trace)
             assert np.array_equal(got.best_positions, alone.best_positions)
+            assert np.array_equal(got.best_fevs, got.fev_trace[-1])
             if config.algorithm == "pso":
                 assert got.source_counts is None and alone.source_counts is None
             else:
                 assert np.array_equal(got.source_counts, alone.source_counts)
+            # recording nothing changes no draw: the same bests, bit for bit
+            assert bare.fev_trace is None and bare.source_counts is None
+            assert np.array_equal(bare.best_fevs, got.best_fevs)
+            assert np.array_equal(bare.best_positions, got.best_positions)
 
     def test_configs_must_differ_only_in_seed_lp_bp(self):
         base = RunConfig(pop_per_task=4, max_gens=3)
