@@ -16,10 +16,13 @@ optimizer was first stacked:
   ``bench/workloads.py``), S1/S2, 2 runs x 1,000 generations, master seed
   424244.
 
-Each manifest then runs again with ``write_convergence`` and
-``write_transfer`` off, so that its runs record no trace or source counts;
-its ``results.csv`` (and the sweep's ``scores.csv``) must match the same
-digests.
+``s1p2`` and ``mt`` omit ``--jobs``, so they run on one worker per CPU the
+process may run on (in process on a one-CPU machine). Each manifest then
+runs again with ``--jobs 1``, in process, and with ``write_convergence``
+and ``write_transfer`` off, so that its runs record no trace or source
+counts; its ``results.csv`` (and the sweep's ``scores.csv``) must match
+the same digests. So both the pooled and the in-process paths are checked
+at full length.
 
 A refactor that changes any draw, floating-point operation or written digit
 changes a digest. Prints one line per artifact and exits 1 on any mismatch.
@@ -93,7 +96,8 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-# The second pass: the write flags off, and the artifacts still written.
+# The second pass: in process, the write flags off, and the artifacts
+# still written.
 NO_RECORDS = {"write_convergence": False, "write_transfer": False}
 UNRECORDED = ("results.csv", "scores.csv")
 
@@ -114,9 +118,11 @@ def check(work: Path) -> int:
             config_path = where / f"{name}.json"
             config_path.write_text(json.dumps(config if records else {**config, **NO_RECORDS}))
             out = where / name
-            label = name if records else f"{name} (records off)"
+            label = name if records else f"{name} (--jobs 1, records off)"
             expected = expected_artifacts(name, records)
             argv = [command[0], "--config", str(config_path), "--out", str(out), "--quiet", *command[1:]]
+            if not records:
+                argv += ["--jobs", "1"]  # after s2p7's own --jobs, so it wins
             with contextlib.redirect_stdout(io.StringIO()):
                 status = mtpso.cli.main(argv)
             if status != 0:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -42,10 +43,25 @@ def _load_spec(config_path: str, out_override: str | None) -> ExperimentSpec:
     return spec
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _clock(seconds: float) -> str:
+    minutes, secs = divmod(round(seconds), 60)
+    hours, minutes = divmod(minutes, 60)
+    return f"{hours}:{minutes:02d}:{secs:02d}" if hours else f"{minutes}:{secs:02d}"
+
+
 def _progress_printer(quiet: bool):
     if quiet:
         return None
 
+    start = time.monotonic()
     shown = 0
 
     def progress(done, total):
@@ -54,7 +70,10 @@ def _progress_printer(quiet: bool):
         step = max(1, total // 20)
         if done == total or done // step > shown // step:
             shown = done
-            print(f"  {done}/{total} runs complete", flush=True)
+            elapsed = max(time.monotonic() - start, 1e-9)
+            rate = done / elapsed
+            print(f"  {done}/{total} runs complete, {_clock(elapsed)} elapsed, "
+                  f"{rate:.2f} runs/s, ETA {_clock((total - done) / rate)}", flush=True)
 
     return progress
 
@@ -162,10 +181,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-task PSO benchmark harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    cpus = _usable_cpus()
+    jobs_help = ("parallel worker processes, at least 1; 1 runs in this process "
+                 "(default: %(default)s, the CPUs this process may run on)")
 
     p_run = sub.add_parser("run", help="execute an experiment grid")
     p_run.add_argument("--config", required=True, help="JSON experiment config")
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel worker processes (at least 1)")
+    p_run.add_argument("--jobs", type=int, default=cpus, help=jobs_help)
     p_run.add_argument("--out", default=None, help="override the output directory")
     p_run.add_argument("--quiet", action="store_true")
     p_run.set_defaults(func=cmd_run)
@@ -180,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--param", choices=("bp", "lp"), required=True)
     p_sweep.add_argument("--values", default=None, help="comma-separated values (default: full grid)")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=int, default=cpus, help=jobs_help)
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--std", choices=("population", "sample"), default="population")
     p_sweep.add_argument("--quiet", action="store_true")

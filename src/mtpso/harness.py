@@ -68,8 +68,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.runs < 1:
             raise ConfigError("'runs' must be >= 1")
-        # an empty problem_ids tuple means "all problems in the suite",
-        # resolved when the suite is loaded
+        # an empty problem_ids tuple (a config without the key) means "all
+        # problems in the suite", resolved when the suite is loaded
         if not self.algorithms:
             raise ConfigError("at least one algorithm is required")
         labels = [label for label, _ in self.algorithms]
@@ -189,6 +189,8 @@ def parse_experiment(cfg: dict, name_default: str = "experiment") -> ExperimentS
             isinstance(p, int) and not isinstance(p, bool) for p in problem_ids
         ):
             raise ConfigError("field 'problem_ids': expected a list of integers")
+        if not problem_ids:
+            raise ConfigError("field 'problem_ids': expected at least one id (leave it out for every problem)")
         if len(set(problem_ids)) != len(problem_ids):
             raise ConfigError(f"field 'problem_ids': ids must be unique, got {problem_ids}")
     flags = {key: cfg.get(key, True) for key in ("write_convergence", "write_transfer")}

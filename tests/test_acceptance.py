@@ -4,6 +4,7 @@ minutes; run with ``pytest tests/test_acceptance.py -v -s`` to watch it.
 """
 
 import json
+import multiprocessing
 from fractions import Fraction
 
 import numpy as np
@@ -267,13 +268,14 @@ def test_criterion_7_determinism(tmp_path):
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(problems_cfg))
-    assert cli.main(["run", "--config", str(cfg_path), "--quiet"]) == 0
+    assert cli.main(["run", "--config", str(cfg_path), "--quiet", "--jobs", "1"]) == 0
 
     manifest_path = tmp_path / "serial" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["output_dir"] = str(tmp_path / "rerun")
     rerun_cfg = tmp_path / "rerun.json"
     rerun_cfg.write_text(json.dumps(manifest))
+    # without --jobs: a worker per CPU this process may run on
     assert cli.main(["run", "--config", str(rerun_cfg), "--quiet"]) == 0
 
     assert cli.main(
@@ -284,7 +286,9 @@ def test_criterion_7_determinism(tmp_path):
     rerun = (tmp_path / "rerun" / "results.csv").read_bytes()
     parallel = (tmp_path / "par" / "results.csv").read_bytes()
     ok = serial == rerun and serial == parallel
-    report(7, ok, "manifest rerun and 2-worker parallel run are byte-identical to the serial run")
+    assert not multiprocessing.active_children()  # every pool's workers have exited
+    report(7, ok, "manifest rerun at the default --jobs and 2-worker parallel run are byte-identical "
+                  "to the serial (--jobs 1) run")
 
 
 def test_criterion_8_parameter_sweep_sanity():

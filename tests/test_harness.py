@@ -3,6 +3,7 @@ import csv
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -124,9 +125,12 @@ class TestParseExperiment:
         spec = parse_experiment({"write_convergence": False, "write_transfer": True})
         assert spec.write_convergence is False and spec.write_transfer is True
 
-    def test_duplicate_problem_ids_rejected(self):
+    # an empty list would otherwise read as "every problem"; leaving the
+    # key out still means that
+    @pytest.mark.parametrize("ids", [[1, 1], []], ids=["duplicate", "empty"])
+    def test_duplicate_problem_ids_rejected(self, ids):
         with pytest.raises(ConfigError, match="problem_ids"):
-            parse_experiment({"problem_ids": [1, 1]})
+            parse_experiment({"problem_ids": ids})
 
 
 class TestSeeds:
@@ -414,6 +418,22 @@ class TestPoolSize:
             run_experiment(spec, jobs=jobs)
         assert not (tmp_path / "out").exists() and pool_sizes == []
 
+    # (usable CPUs, runs, workers): S1 at two lp values on one problem is
+    # one group of 2 x runs cells, split into min(CPUs, 2 x runs) batches
+    @pytest.mark.parametrize("cpus, runs, workers", [(3, 1, [2]), (3, 3, [3]), (1, 3, [])])
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "lp", "--values", "2"]])
+    def test_cli_jobs_default_to_usable_cpus(self, pool_sizes, tiny_problems, tmp_path, monkeypatch,
+                                             command, cpus, runs, workers):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        algorithms = [{"algorithm": "samtpso-s1", "label": label, "lp": lp} for label, lp in (("a", 2), ("b", 5))]
+        cfg = tiny_config(tiny_problems, tmp_path / "out", algorithms=algorithms, runs=runs, problem_ids=[1])
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main([command[0], "--config", str(cfg_path), "--quiet", *command[1:]]) == 0
+        assert pool_sizes == workers
+        assert cli.main([command[0], "--config", str(cfg_path), "--quiet", "--jobs", "1", *command[1:]]) == 0
+        assert pool_sizes == workers
+
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_cli_jobs_zero_exits_2(self, pool_sizes, tiny_problems, tmp_path, capsys, command):
         cfg_path = tmp_path / "config.json"
@@ -671,6 +691,27 @@ class TestCli:
         rc = cli.main(["run", "--config", str(cfg_path), "--quiet"])
         assert rc == 0
         assert (tmp_path / "out" / "results.csv").exists()
+
+    def test_progress_line_has_rate_and_eta(self, tiny_problems, tmp_path, capsys, monkeypatch):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(tiny_config(tiny_problems, tmp_path / "out", max_gens=4)))
+        assert cli.main(["run", "--config", str(cfg_path), "--jobs", "1"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if "runs complete" in line]
+        pattern = r"  \d+/8 runs complete, \d+:\d\d elapsed, \d+\.\d\d runs/s, ETA \d+:\d\d"
+        assert lines and all(re.fullmatch(pattern, line) for line in lines), lines
+        assert lines[-1].startswith("  8/8 ") and lines[-1].endswith(", ETA 0:00")
+        assert cli.main(["run", "--config", str(cfg_path), "--jobs", "1", "--quiet"]) == 0
+        assert "runs complete" not in capsys.readouterr().out
+        # 12 of 24 runs in 41 s; a run of over an hour shows hours
+        clock = iter([0.0, 41.0, 3 * 3600 + 0.4])
+        monkeypatch.setattr(cli.time, "monotonic", lambda: next(clock))
+        progress = cli._progress_printer(False)
+        progress(12, 24)
+        progress(24, 24)
+        assert capsys.readouterr().out.splitlines() == [
+            "  12/24 runs complete, 0:41 elapsed, 0.29 runs/s, ETA 0:41",
+            "  24/24 runs complete, 3:00:00 elapsed, 0.00 runs/s, ETA 0:00",
+        ]
 
     def test_out_override(self, tiny_problems, tmp_path):
         cfg_path = tmp_path / "config.json"
