@@ -25,13 +25,17 @@ the same digests. So both the pooled and the in-process paths are checked
 at full length.
 
 A refactor that changes any draw, floating-point operation or written digit
-changes a digest. Prints one line per artifact and exits 1 on any mismatch.
+changes a digest. So does another numeric environment: the digests hold on
+the OpenBLAS core and numpy dispatch targets of ``PINNED_ENVIRONMENT``.
+Prints one line per artifact and exits 1 on any mismatch, after naming the
+pinned environment and this one.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -66,6 +70,44 @@ EXPECTED = {
         "scores.csv": "26587e39fc6aa2961a229bb052adf14c7dfc21fc66ff504aabaab0b9c5442d75",
     },
 }
+
+
+# Where the digests here and in tests/test_golden.py were pinned. Another
+# OpenBLAS kernel or numpy dispatch target can change the bits of the
+# rotations, the suites' generators and np.exp.
+PINNED_ENVIRONMENT = {
+    "OpenBLAS core": "SkylakeX",
+    "numpy dispatch targets": "X86_V3, X86_V4, AVX512_ICL, AVX512_SPR",
+}
+
+
+def numeric_environment() -> dict[str, str]:
+    """This process's OpenBLAS core, read from the OpenBLAS bundled with
+    numpy, and the numpy dispatch targets it runs: those of the build's
+    ``__cpu_dispatch__`` that the CPU, less ``NPY_DISABLE_CPU_FEATURES``,
+    enables. ``unknown`` where either cannot be read."""
+    core = "unknown"
+    for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+        break
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        targets = "unknown"
+    else:
+        targets = ", ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t)) or "none"
+    return {"OpenBLAS core": core, "numpy dispatch targets": targets}
+
+
+def environment_note() -> str:
+    """The pinned numeric environment next to this one, a line per item."""
+    here = numeric_environment()
+    return "\n".join(f"{key}: pinned {pinned}, here {here[key]}" for key, pinned in PINNED_ENVIRONMENT.items())
 
 
 def manifests(work: Path) -> dict[str, tuple[dict, list[str]]]:
@@ -149,6 +191,8 @@ def main(argv=None) -> int:
             mismatches = check(Path(tmp))
     total = sum(len(expected_artifacts(name, records)) for name in EXPECTED for records in (True, False))
     print(f"{total - mismatches} of {total} digests match")
+    if mismatches:
+        print(environment_note())
     return 1 if mismatches else 0
 
 

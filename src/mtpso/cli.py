@@ -121,20 +121,19 @@ def _print_score_table(algorithms, problems, tables, per_problem, mean_scores, s
     print(f"(scores use {std_mode} standard deviation; lower is better)")
 
 
-def _score_results(paths, std_mode):
+def _score(paths, std_mode, out_path: Path) -> None:
+    """Score the results files: print the table and write the scores."""
     data = harness.merge_results([harness.read_results_csv(p) for p in paths])
     algorithms, problems, tables = harness.tabulate_fevs(data)
     per_problem = {pid: metrics.score(tables[pid], std=std_mode) for pid in problems}
     mean_scores = np.mean([per_problem[pid] for pid in problems], axis=0)
-    return algorithms, problems, tables, per_problem, mean_scores
+    _print_score_table(algorithms, problems, tables, per_problem, mean_scores, std_mode)
+    harness.write_scores_csv(out_path, algorithms, problems, per_problem, mean_scores)
+    print(f"wrote {out_path}")
 
 
 def cmd_score(args) -> int:
-    algorithms, problems, tables, per_problem, mean_scores = _score_results(args.results, args.std)
-    _print_score_table(algorithms, problems, tables, per_problem, mean_scores, args.std)
-    out_path = Path(args.out) if args.out else Path(args.results[0]).parent / "scores.csv"
-    harness.write_scores_csv(out_path, algorithms, problems, per_problem, mean_scores)
-    print(f"wrote {out_path}")
+    _score(args.results, args.std, Path(args.out) if args.out else Path(args.results[0]).parent / "scores.csv")
     return 0
 
 
@@ -165,13 +164,7 @@ def cmd_sweep(args) -> int:
     out_dir = harness.run_experiment(
         spec, jobs=args.jobs, progress=_progress_printer(args.quiet), problems=resolved
     )
-    algorithms, problems, tables, per_problem, mean_scores = _score_results(
-        [out_dir / "results.csv"], args.std
-    )
-    _print_score_table(algorithms, problems, tables, per_problem, mean_scores, args.std)
-    scores_path = out_dir / "scores.csv"
-    harness.write_scores_csv(scores_path, algorithms, problems, per_problem, mean_scores)
-    print(f"wrote {scores_path}")
+    _score([out_dir / "results.csv"], args.std, out_dir / "scores.csv")
     return 0
 
 

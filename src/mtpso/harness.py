@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, get_type_hints
 
 import numpy as np
 
@@ -92,19 +92,11 @@ class CellResult:
     source_counts: np.ndarray | None
 
 
-_RUNCONFIG_FIELDS = (
-    "pop_per_task",
-    "lp",
-    "bp",
-    "eps",
-    "w_start",
-    "w_end",
-    "c1",
-    "c2",
-    "c3",
-    "max_gens",
-)
-_INT_FIELDS = {"pop_per_task", "lp", "max_gens"}
+# the run parameters a config may set, in RunConfig's field order: the
+# algorithm comes from each entry and the seed from derive_seed
+_HINTS = get_type_hints(RunConfig)
+_RUNCONFIG_FIELDS = tuple(key for key in _HINTS if key not in ("algorithm", "seed"))
+_INT_FIELDS = {key for key in _RUNCONFIG_FIELDS if _HINTS[key] is int}
 
 
 def _check_number(key, value, integer=False):
@@ -143,6 +135,7 @@ def parse_experiment(cfg: dict, name_default: str = "experiment") -> ExperimentS
     if not isinstance(suite, str):
         raise ConfigError("field 'suite': expected a suite id or problem-file path")
     runs = _check_number("runs", cfg.get("runs", 30), integer=True)
+    _check_number("jobs", cfg.get("jobs", 1), integer=True)  # checked, then ignored
     master_seed = _check_number("master_seed", cfg.get("master_seed", DEFAULT_MASTER_SEED), integer=True)
     suite_seed = _check_number("suite_seed", cfg.get("suite_seed", benchmarks.DEFAULT_SUITE_SEED), integer=True)
     if suite_seed < 0:
@@ -432,8 +425,6 @@ def _cell_prefix(cell: CellResult) -> str:
 
 
 def _convergence_rows(fh, cell: CellResult) -> None:
-    if cell.trace is None:
-        return
     prefix = _cell_prefix(cell)
     for g, row in enumerate(cell.trace, start=1):
         fh.write("".join(f"{prefix}{g},{task},{v!r}\n" for task, v in enumerate(row.tolist(), start=1)))
@@ -450,25 +441,6 @@ def _transfer_rows(fh, cell: CellResult) -> None:
     pairs = [f"{task + 1},{source + 1}," for task in range(k) for source in range(k)]
     for g, row in enumerate(cell.source_counts.reshape(-1, k * k), start=2):
         fh.write("".join(f"{prefix}{g},{pair}{fractions[c]}\n" for pair, c in zip(pairs, row.tolist())))
-
-
-def _write_csv(path, header: list[str], rows, cells) -> None:
-    with open(path, "w", newline="") as fh:
-        _writer(fh).writerow(header)
-        for cell in cells:
-            rows(fh, cell)
-
-
-def write_results_csv(path, experiment_name: str, cells: list[CellResult]) -> None:
-    _write_csv(path, RESULTS_HEADER, partial(_results_rows, experiment_name), cells)
-
-
-def write_convergence_csv(path, cells: list[CellResult]) -> None:
-    _write_csv(path, CONVERGENCE_HEADER, _convergence_rows, cells)
-
-
-def write_transfer_csv(path, cells: list[CellResult]) -> None:
-    _write_csv(path, TRANSFER_HEADER, _transfer_rows, cells)
 
 
 def spec_to_manifest(spec: ExperimentSpec) -> dict:

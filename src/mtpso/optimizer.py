@@ -37,13 +37,16 @@ class SwarmState:
     pbest fitness and each particle's last chosen source task (K·C, N); the
     swarm bests (K·C, D_u) and (K·C,). A row's source probabilities are its
     row of ``probs`` (K·C, K) and its focus flag ``focus[row]``; ``mem`` is
-    the (K·C, K) success/failure window with each row's cell's lp, and
-    ``bp`` (K·C,) each row's floor. ``transfer[row]`` is False for the rows
-    of a no-transfer (PSO) cell, which stay in focus search. Each row draws
-    from its own ``select_rngs[row]`` and ``vel_rngs[row]`` streams, cell
-    c's task-t streams, into ``picks[row]`` and ``draws[row]``; ``draws``
-    holds one velocity term's r at a time, drawn just before that term, so
-    each stream yields its doubles in the order a run alone draws them.
+    the (K·C, K) success/failure window with each row's cell's lp, capped
+    at max_gens: a run commits max_gens − 1 generations, so past max_gens
+    the window holds the same counts and the learning period never ends
+    either way. ``bp`` (K·C,) is each row's floor. ``transfer[row]`` is
+    False for the rows of a no-transfer (PSO) cell, which stay in focus
+    search. Each row draws from its own ``select_rngs[row]`` and
+    ``vel_rngs[row]`` streams, cell c's task-t streams, into ``picks[row]``
+    and ``draws[row]``; ``draws`` holds one velocity term's r at a time,
+    drawn just before that term, so each stream yields its doubles in the
+    order a run alone draws them.
     Once the move is done, both (K·C, N, D_u) scratch buffers serve the
     evaluation: ``term`` takes the decoded positions, and ``draws`` holds
     the task-frame rows of the plan's groups.
@@ -277,7 +280,7 @@ def init_swarm(problems: Sequence[MtoProblem], configs: Sequence[RunConfig]) -> 
         probs=np.full((rows, k), 1.0 / k),
         focus=~transfer,
         transfer=transfer,
-        mem=MemoryWindow(np.tile([c.lp for c in configs], k), k),
+        mem=MemoryWindow(np.tile([min(c.lp, c.max_gens) for c in configs], k), k),
         bp=np.tile([float(c.bp) for c in configs], k),
         select_rngs=select_rngs,
         vel_rngs=vel_rngs,

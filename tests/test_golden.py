@@ -12,7 +12,9 @@ bytes are the same.
 """
 
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,13 @@ from mtpso import harness
 from mtpso.benchmarks import build_suite, make_task, problem_to_dict
 from mtpso.core import MtoProblem
 from mtpso.harness import parse_experiment, run_experiment
+
+# scripts/check_digests.py names the numeric environment the digests were
+# pinned on, and this one
+_path = Path(__file__).resolve().parent.parent / "scripts" / "check_digests.py"
+_spec = importlib.util.spec_from_file_location("check_digests", _path)
+check_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_digests)
 
 MANYTASK = (
     ("sphere", 3),
@@ -70,4 +79,4 @@ def test_golden_artifacts(tmp_path, monkeypatch, one_cell_batches, jobs):
     )
     out_dir = run_experiment(spec, jobs=jobs)
     digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256}
-    assert digests == GOLDEN_SHA256
+    assert digests == GOLDEN_SHA256, check_digests.environment_note()

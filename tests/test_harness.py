@@ -107,6 +107,28 @@ class TestParseExperiment:
         with pytest.raises(ConfigError, match="'lp'"):
             parse_experiment({"lp": 2.5})
 
+    # every run parameter a config may set, shared or in an algorithm's
+    # entry: an integer field takes no float or bool, a float field no string
+    @pytest.mark.parametrize(
+        "key, value",
+        [(key, value) for key in ("pop_per_task", "lp", "max_gens") for value in (2.5, True)]
+        + [(key, "x") for key in ("bp", "eps", "w_start", "w_end", "c1", "c2", "c3")],
+    )
+    @pytest.mark.parametrize("in_entry", [False, True], ids=["shared", "entry"])
+    def test_run_parameter_type_errors(self, key, value, in_entry):
+        cfg = {"algorithms": [{"algorithm": "pso", key: value}]} if in_entry else {key: value}
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            parse_experiment(cfg)
+
+    def test_run_parameters_follow_run_config(self):
+        # in RunConfig's field order, so that errors come in that order
+        assert harness._RUNCONFIG_FIELDS == (
+            "pop_per_task", "lp", "bp", "eps", "w_start", "w_end", "c1", "c2", "c3", "max_gens",
+        )
+        assert harness._INT_FIELDS == {"pop_per_task", "lp", "max_gens"}
+        with pytest.raises(ConfigError, match="'lp'"):
+            parse_experiment({"max_gens": 2.5, "bp": "x", "lp": 2.5})
+
     def test_invalid_run_config_reported(self):
         with pytest.raises(ConfigError, match=r"algorithms\[0\]"):
             parse_experiment({"algorithms": [{"algorithm": "pso", "lp": 0}]})
@@ -365,6 +387,9 @@ class TestJobsKey:
         manifest no longer writes it (the count is ``--jobs``)."""
         cfg = tiny_config(tiny_problems, tmp_path / "out")
         assert parse_experiment({**cfg, "jobs": 3}) == parse_experiment(cfg)
+        for value in ("lots", 2.5, True):
+            with pytest.raises(ConfigError, match="'jobs'"):
+                parse_experiment({**cfg, "jobs": value})
         out = run_experiment(parse_experiment(cfg), jobs=2)
         assert "jobs" not in json.loads((out / "manifest.json").read_text())
 
@@ -455,8 +480,15 @@ class TestTransferCsv:
             harness.CellResult(label, 3, 2, 0, 3, 7, np.zeros(3), trace, rng.integers(0, 8, (4, 3, 3)))
             for label, trace in zip(("plain", "a,b", 'say "hi"', ""), traces)
         ]
+
+        def write(path, header, rows):
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerow(header)
+                for cell in cells:
+                    rows(fh, cell)
+
         path = tmp_path / "transfer.csv"
-        harness.write_transfer_csv(path, cells)
+        write(path, harness.TRANSFER_HEADER, harness._transfer_rows)
         expected = tmp_path / "expected.csv"
         with open(expected, "w", newline="") as fh:
             out = csv.writer(fh, lineterminator="\n")
@@ -470,7 +502,7 @@ class TestTransferCsv:
                             out.writerow(row)
         assert path.read_bytes() == expected.read_bytes()
         path = tmp_path / "convergence.csv"
-        harness.write_convergence_csv(path, cells)
+        write(path, harness.CONVERGENCE_HEADER, harness._convergence_rows)
         with open(expected, "w", newline="") as fh:
             out = csv.writer(fh, lineterminator="\n")
             out.writerow(harness.CONVERGENCE_HEADER)
@@ -565,6 +597,24 @@ class TestMemory:
         assert peak(1000, False) <= short + 8192
         # recorded, the grid's two cells hold 1000 x 2 doubles of trace each
         assert peak(1000, True) >= short + 2 * 1000 * 2 * 8
+
+    def test_window_does_not_grow_with_lp(self, tiny_problems, tmp_path):
+        """A run commits at most max_gens - 1 generations, so a learning
+        period past max_gens costs no memory and changes nothing."""
+
+        def cell(lp):
+            cfg = tiny_config(tiny_problems, tmp_path / "out", algorithms=["samtpso-s1"], problem_ids=[1],
+                              runs=1, max_gens=5, lp=lp)
+            spec = parse_experiment(cfg)
+            problems = resolve_problems(spec)
+            cells = []
+            return self.traced_peak(lambda: cells.extend(execute(spec, problems=problems))), cells[0]
+
+        _, short = cell(5)
+        peak, long = cell(10**6)
+        assert peak < 2**20
+        for field in ("final_fevs", "trace", "source_counts"):
+            np.testing.assert_array_equal(getattr(long, field), getattr(short, field))
 
     # (jobs, runs, cells of slack): a two-worker pool can finish a batch or
     # two while an earlier one is being written
