@@ -12,10 +12,11 @@ The warm-up runs are left out of every figure: a workload's first runs
 read slower than the rest. It writes ``BENCH_<pr>.json``: every run's exit
 status, the warm-up runs, and for every end-to-end metric of
 BENCHMARK.json each side's runs in pair order, their median and quartiles,
-the ratio of the medians (change / parent), the number of pairs in which
-the change was better and a verdict (see ``verdict``) against the metric's
-bound in BENCHMARK.json. A workload with a failed run gets no figures, and
-the script exits 1 once the file is written. With ``--tier1`` it also
+the ratio of the medians (change / parent), each pair's ratio (change /
+parent, in pair order), the number of pairs in which the change was
+better and a verdict (see ``verdict``) against the metric's bound in
+BENCHMARK.json. A workload with a failed run gets no figures, and the
+script exits 1 once the file is written. With ``--tier1`` it also
 times the Tier-1 command once on each side, the change first.
 
 Measure with nothing else running: the pairs share the machine.
@@ -87,6 +88,7 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
         "parent": side(parent),
         "change": side(change),
         "ratio_of_medians": statistics.median(change) / statistics.median(parent),
+        "pair_ratios": [c / p for p, c in zip(parent, change)],
         "change_better_in_pairs": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
     }
 

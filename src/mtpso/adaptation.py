@@ -108,10 +108,14 @@ def roulette_select_many(p: np.ndarray, us: np.ndarray) -> np.ndarray:
     source index whose cumulative probability in p's row exceeds u, or the
     last index when none does (a float tail). p has shape (rows, k), and
     row t of ``us`` draws from p[t]. The index is the count of cumulative
-    probabilities at or below u, so a u on an edge goes to the right."""
+    probabilities at or below u, so a u on an edge goes to the right; the
+    cumulative sums ascend, so counting the first k − 1 of them, one
+    (rows, N) comparison each, is that count clipped at k − 1."""
     cum = np.cumsum(p, axis=1)
-    picks = np.count_nonzero(cum[:, None, :] <= us[:, :, None], axis=2)
-    return np.minimum(picks, p.shape[1] - 1)
+    picks = np.zeros(us.shape, dtype=np.intp)
+    for edge in cum[:, :-1].T:
+        picks += edge[:, None] <= us
+    return picks
 
 
 def choose_sources(p: np.ndarray, focus: np.ndarray, us: np.ndarray) -> np.ndarray:

@@ -280,20 +280,25 @@ def _batches(cells: list, jobs: int) -> list[list[int]]:
     :func:`optimizer.batch_key`: cells with equal task count K and unified
     dimension D_u whose configs differ only in seed, lp, bp and PSO against
     S2 (so equal N). A group is sorted by problem id, keeping grid order
-    within a problem, so that a problem's cells stay adjacent; it is split
-    into batches of at most BATCH_ELEMENTS stacked elements, and a group of
-    at least ``jobs`` cells into at least ``jobs`` batches so that every
-    worker gets one."""
+    within a problem, so that a problem's cells stay adjacent, and split
+    into near-equal batches of at most BATCH_ELEMENTS stacked elements.
+    While the grid has fewer batches than ``jobs`` and than cells, the
+    group with the most cells per batch is cut into one batch more, so
+    that every worker gets a batch but no group is cut further than the
+    pool needs: a batch pays per numpy call and per row, so fewer, larger
+    batches cost less per cell."""
     groups: dict = {}
     for i, (_, config, problem, *_) in enumerate(cells):
         groups.setdefault(batch_key(problem, config), []).append(i)
-    batches = []
-    for (k, d_u, config), members in groups.items():
-        members.sort(key=lambda i: cells[i][3])
+    members, counts = [], []
+    for (k, d_u, config), group in groups.items():
+        members.append(sorted(group, key=lambda i: cells[i][3]))
         per_batch = max(1, BATCH_ELEMENTS // (k * config.pop_per_task * d_u))
-        count = max(-(-len(members) // per_batch), min(jobs, len(members)))
-        batches += [list(part) for part in np.array_split(members, count)]
-    return batches
+        counts.append(-(-len(group) // per_batch))
+    while sum(counts) < min(jobs, len(cells)):
+        g = max(range(len(counts)), key=lambda i: len(members[i]) / counts[i])
+        counts[g] += 1
+    return [list(part) for group, count in zip(members, counts) for part in np.array_split(group, count)]
 
 
 def _pool_outputs(futures: list, batches: list[list[int]], cells: list):

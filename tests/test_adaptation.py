@@ -359,3 +359,38 @@ class TestStackedRows:
         for t in range(k):
             expected = np.minimum(np.searchsorted(np.cumsum(p[t]), us[t], side="right"), k - 1)
             assert np.array_equal(got[t], expected)
+
+
+def roulette_reference(p, us):
+    """The (rows, N, k) form: count every cumulative probability at or below
+    u, then clip the float tail at k − 1."""
+    cum = np.cumsum(p, axis=1)
+    return np.minimum(np.count_nonzero(cum[:, None, :] <= us[:, :, None], axis=2), p.shape[1] - 1)
+
+
+@given(
+    st.integers(1, 12),
+    st.integers(1, 5),
+    st.floats(0.0, 0.9),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_roulette_equals_count_and_clip_form(k, rows, zeros, seed):
+    """``roulette_select_many`` gives the integers of the count-and-clip
+    form, on random draws, on every cumulative edge and just below it, with
+    zero probabilities (repeated edges), and at or above the last
+    cumulative sum (the float tail)."""
+    rng = np.random.default_rng(seed)
+    p = rng.random((rows, k)) * (rng.random((rows, k)) >= zeros)
+    p[:, rng.integers(0, k)] += 1e-3  # a row is never all zero
+    p /= p.sum(axis=1, keepdims=True)
+    cum = np.cumsum(p, axis=1)
+    last = cum[:, -1:]
+    us = np.concatenate(
+        [rng.random((rows, 30)), cum, np.nextafter(cum, -np.inf), last, np.nextafter(last, np.inf),
+         np.zeros((rows, 1)), np.ones((rows, 1)), np.full((rows, 1), 0.9999999999999999)],
+        axis=1,
+    )
+    got = roulette_select_many(p, us)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, roulette_reference(p, us))

@@ -43,3 +43,13 @@ def judge(parent, change, better="higher", bound=0.25):
 )
 def test_verdict(parent, change, better, bound, want):
     assert judge(parent, change, better, bound) == want
+
+
+def test_summary_records_each_pairs_ratio():
+    """Each pair's change / parent ratio is kept in pair order, so a verdict's
+    per-pair spread can be read back from the file."""
+    got = bench_pairs.summarize([100, 200, 50], [150, 100, 50], "higher")
+    assert got["pair_ratios"] == [1.5, 0.5, 1.0]
+    assert got["change_better_in_pairs"] == 1
+    # the ratio is change / parent whichever way is better
+    assert bench_pairs.summarize([40.0, 50.0], [42.0, 45.0], "lower")["pair_ratios"] == [1.05, 0.9]

@@ -274,13 +274,26 @@ class TestBatches:
             for pid, problem in problems
             for _ in range(spec.runs)
         ]
-        sizes = lambda jobs: sorted(len(b) for b in harness._batches(cells, jobs))  # noqa: E731
+        sizes = lambda jobs: [len(b) for b in harness._batches(cells, jobs)]  # noqa: E731
         # both problems have one shape: the three S1 lp values x 2 problems
-        # x 2 runs, and S2 at two bp x 2 problems x 2 runs
-        assert sizes(1) == [8, 12]
-        assert sizes(2) == [4, 4, 6, 6]
-        assert sizes(5) == [1, 1] + [2] * 6 + [3, 3]
-        assert sizes(16) == [1] * 20  # a group of n < jobs cells: n batches
+        # x 2 runs, and S2 at two bp x 2 problems x 2 runs; a group is cut
+        # only while the grid has fewer batches than jobs, the group with
+        # the most cells per batch first
+        assert sizes(1) == sizes(2) == [12, 8]
+        assert sizes(3) == [6, 6, 8]
+        assert sizes(5) == [4, 4, 4, 4, 4]
+        assert sizes(16) == [2, 2] + [1] * 8 + [2, 2] + [1] * 4
+        assert sizes(25) == [1] * 20  # a grid of n < jobs cells: n batches
+        # an lp sweep of S1 and S2 over both problems, one run: two groups
+        # of six, one batch each at two jobs
+        base = spec.algorithms[0][1]
+        sweep = [
+            (f"{algorithm}@lp={lp}", replace(base, algorithm=algorithm, lp=lp), problem, pid, 1, False, False)
+            for algorithm in ("samtpso-s1", "samtpso-s2")
+            for lp in (2, 5, 10)
+            for pid, problem in problems
+        ]
+        assert [len(b) for b in harness._batches(sweep, 2)] == [6, 6]
         per_batch = harness.BATCH_ELEMENTS // (2 * 8 * 3)  # K x N x D_u of a tiny cell
         many = cells[:1] * (2 * per_batch + 1)
         split = [len(b) for b in harness._batches(many, 1)]
@@ -288,7 +301,7 @@ class TestBatches:
         assert sorted(i for b in harness._batches(cells, 2) for i in b) == list(range(len(cells)))
 
     @pytest.mark.parametrize("cap", [1, 100, 500, 10**6])
-    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 12, 60])
     def test_batches_keep_shape_order_cap_and_split(self, monkeypatch, cap, jobs):
         monkeypatch.setattr(harness, "BATCH_ELEMENTS", cap)
         problems = {  # id -> problem; ids 1, 2 and 4 share K = 2 and D_u = 3
@@ -323,10 +336,15 @@ class TestBatches:
             k, d_u, config = shape(batch[0])
             assert len(batch) == 1 or len(batch) * k * config.pop_per_task * d_u <= cap
             groups.setdefault(shape(batch[0]), []).append(len(batch))
-        for key, lengths in groups.items():
-            members = sum(1 for i in range(len(cells)) if shape(i) == key)
-            assert len(lengths) >= min(jobs, members)
+        # every worker gets a batch, and a group is cut past the cap only
+        # while the grid has fewer batches than jobs
+        assert len(batches) >= min(jobs, len(cells))
+        for (k, d_u, config), lengths in groups.items():
+            members = sum(lengths)
             assert max(lengths) - min(lengths) <= 1
+            per_batch = max(1, cap // (k * config.pop_per_task * d_u))
+            if len(lengths) > -(-members // per_batch):
+                assert len(batches) <= jobs
         # S2 and PSO cells share a shape; S1 at two lp values does too
         assert shape(0) == shape(10) and shape(20) == shape(30) and shape(20) != shape(40)
         # three configs (S1 at both lp, S2 with PSO, S2 at c1 = 1) x three

@@ -107,6 +107,55 @@ class TestVelocityRules:
             assert x == pytest.approx(0.3)
 
 
+class SequenceDraws:
+    """Stands in for a velocity stream that yields ``values`` in order across
+    calls, as a bit generator yields its doubles."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self, out):
+        out.flat[:] = [next(self.values) for _ in range(out.size)]
+
+
+class TestVelocityDrawOrder:
+    """Each row's stream gives r1 for every particle and dimension, then r2,
+    then (S1) r3, and each term takes its own block: S1 puts r1 on pbest,
+    r2 on its own swarm best and r3 on the source's best; S2 puts r1 on
+    pbest and r2 on the source's best. Task 0's one particle in two
+    dimensions picks task 1; task 1's row draws from a stream of its own."""
+
+    X, V, PBEST, G_OWN, G_SRC = [0.4, 0.6], [0.2, -0.1], [0.5, 0.5], [0.6, 0.3], [0.3, 0.8]
+
+    def move(self, algorithm, terms):
+        problem = MtoProblem(tasks=(make_task("sphere", 2, 0), make_task("sphere", 2, 1)))
+        config = RunConfig(algorithm=algorithm, pop_per_task=1, c1=1.0, c2=1.0, c3=1.0)
+        state = init_swarm([problem], [config])
+        state.positions[0], state.velocities[0], state.pbest_pos[0] = self.X, self.V, self.PBEST
+        state.gbest_pos[:] = [self.G_OWN, self.G_SRC]
+        state.probs[0] = [0.0, 1.0]
+        own = SequenceDraws([0.1, 0.2, 0.3, 0.4, 0.5, 0.6][: 2 * terms] + [0.7])
+        state.vel_rngs = [own, SequenceDraws([0.9] * 2 * terms)]
+        _move_swarm(state, 0.5)
+        assert state.last_source[0, 0] == 1
+        assert next(own.values) == 0.7  # the row drew r1, r2 (and r3), nothing more
+        return state.positions[0, 0], state.velocities[0, 0]
+
+    def test_s1_terms_take_r1_r2_r3_in_order(self):
+        x, v = self.move("samtpso-s1", 3)
+        # w·v + r1·(pbest − x) + r2·(g_own − x) + r3·(g_src − x), per dimension
+        expected = [0.1 + 0.1 * 0.1 + 0.3 * 0.2 + 0.5 * -0.1, -0.05 + 0.2 * -0.1 + 0.4 * -0.3 + 0.6 * 0.2]
+        assert v == pytest.approx(expected, rel=1e-12)  # 0.12, -0.07
+        assert x == pytest.approx([0.52, 0.53], rel=1e-12)
+
+    def test_s2_terms_take_r1_r2_in_order(self):
+        x, v = self.move("samtpso-s2", 2)
+        # w·v + r1·(pbest − x) + r2·(g_src − x), per dimension
+        expected = [0.1 + 0.1 * 0.1 + 0.3 * -0.1, -0.05 + 0.2 * -0.1 + 0.4 * 0.2]
+        assert v == pytest.approx(expected, rel=1e-12)  # 0.08, 0.01
+        assert x == pytest.approx([0.48, 0.61], rel=1e-12)
+
+
 class TestS1SelfChoice:
     """A particle whose chosen source is its own task does no transfer: S1
     moves it with the three-term rule (c1, c2) and drops the c3 term, and S2
