@@ -21,8 +21,11 @@ process may run on (in process on a one-CPU machine). Each manifest then
 runs again with ``--jobs 1``, in process, and with ``write_convergence``
 and ``write_transfer`` off, so that its runs record no trace or source
 counts; its ``results.csv`` (and the sweep's ``scores.csv``) must match
-the same digests. So both the pooled and the in-process paths are checked
-at full length.
+the same digests. Last, ``s1p2`` runs again at ``--jobs 9``: the batch
+split rule then cuts its 9 cells into 9 batches of one cell each, on 9
+worker processes, and all three of its artifacts must match. So the
+pooled and the in-process paths, and a cell batched with others and run
+alone, are checked at full length.
 
 A refactor that changes any draw, floating-point operation or written digit
 changes a digest. So does another numeric environment: the digests hold on
@@ -138,10 +141,18 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-# The second pass: in process, the write flags off, and the artifacts
-# still written.
+# The passes: the directory each writes under (the config file's stem
+# names the experiment, so each pass has its own), its label, the manifests
+# it runs, whether its runs record their traces and source counts, and the
+# --jobs it appends, after a manifest's own --jobs, so that it wins. A pass
+# without records writes only the artifacts of UNRECORDED.
 NO_RECORDS = {"write_convergence": False, "write_transfer": False}
 UNRECORDED = ("results.csv", "scores.csv")
+PASSES = (
+    ("", "", tuple(EXPECTED), True, None),
+    ("no-records", " (--jobs 1, records off)", tuple(EXPECTED), False, "1"),
+    ("one-cell-batches", " (--jobs 9, one cell per batch)", ("s1p2",), True, "9"),
+)
 
 
 def expected_artifacts(name: str, records: bool) -> dict[str, str]:
@@ -151,20 +162,19 @@ def expected_artifacts(name: str, records: bool) -> dict[str, str]:
 def check(work: Path) -> int:
     mismatches = 0
     runs = manifests(work)
-    for records in (True, False):
-        # the config file's stem names the experiment, so each pass has
-        # its own directory
-        where = work if records else work / "no-records"
+    for directory, suffix, names, records, jobs in PASSES:
+        where = work / directory
         where.mkdir(exist_ok=True)
-        for name, (config, command) in runs.items():
+        for name in names:
+            config, command = runs[name]
             config_path = where / f"{name}.json"
             config_path.write_text(json.dumps(config if records else {**config, **NO_RECORDS}))
             out = where / name
-            label = name if records else f"{name} (--jobs 1, records off)"
+            label = name + suffix
             expected = expected_artifacts(name, records)
             argv = [command[0], "--config", str(config_path), "--out", str(out), "--quiet", *command[1:]]
-            if not records:
-                argv += ["--jobs", "1"]  # after s2p7's own --jobs, so it wins
+            if jobs is not None:
+                argv += ["--jobs", jobs]
             with contextlib.redirect_stdout(io.StringIO()):
                 status = mtpso.cli.main(argv)
             if status != 0:
@@ -189,7 +199,7 @@ def main(argv=None) -> int:
     else:
         with tempfile.TemporaryDirectory() as tmp:
             mismatches = check(Path(tmp))
-    total = sum(len(expected_artifacts(name, records)) for name in EXPECTED for records in (True, False))
+    total = sum(len(expected_artifacts(name, records)) for _, _, names, records, _ in PASSES for name in names)
     print(f"{total - mismatches} of {total} digests match")
     if mismatches:
         print(environment_note())

@@ -15,13 +15,6 @@ import numpy as np
 
 ORTHOGONALITY_TOL = 1e-9
 
-# Multiply-adds per rotation product. OpenBLAS runs a product below 2^18 on
-# the calling thread; above it, it wakes its worker threads, which costs
-# more than it saves on the (rows, d) x (d, d) products of a stacked swarm
-# and thrashes when pool workers share the cores. Larger batches of rows
-# are rotated in blocks of this size; each row's product is the same.
-ROTATION_BLOCK = 2**18
-
 ALGORITHMS = ("samtpso-s1", "samtpso-s2", "pso")
 
 # Default acceleration coefficients (c1, c2, c3) per algorithm. The
@@ -185,34 +178,14 @@ def encode(z_native: np.ndarray, task: TaskDef, unified_dim: int | None = None) 
     return np.concatenate([u, np.full(pad_shape, 0.5)], axis=-1)
 
 
-def task_frame(x_unified: np.ndarray, task: TaskDef) -> np.ndarray:
-    """Task-frame coordinates of a unified point or of rows of them: the
-    decoded native point minus the task's shift, rotated (rows by
-    :func:`rotate_rows`)."""
-    z = decode(x_unified, task) - task.shift
-    if z.ndim != 2:
-        return z @ task.rotation.T
-    return rotate_rows(z, task, np.empty_like(z))
-
-
-def rotate_rows(z: np.ndarray, task: TaskDef, out: np.ndarray) -> np.ndarray:
-    """``z @ task.rotation.T`` for (rows, d) shifted native points, written
-    into ``out``, in blocks of at most ROTATION_BLOCK multiply-adds; each
-    row's product is the same. ``z`` may be a strided view."""
-    rotation = task.rotation.T
-    block = max(1, ROTATION_BLOCK // (task.dim * task.dim))
-    for i in range(0, len(z), block):
-        np.matmul(z[i : i + block], rotation, out=out[i : i + block])
-    return out
-
-
 def evaluate_task(x_unified: np.ndarray, task: TaskDef) -> float | np.ndarray:
     """Objective value of a unified-space point (or batch of rows) on a task.
 
-    The native point is rotated around the task's shift
-    (:func:`task_frame`) and fed to the base function, re-centered so the
-    global optimum sits at the shift, where the objective is 0.
+    The decoded native point is rotated around the task's shift, into the
+    task frame, and fed to the base function, re-centered so the global
+    optimum sits at the shift, where the objective is 0.
     """
     from . import benchmarks  # local import: benchmarks depends on core types
 
-    return benchmarks.task_eval(task.base_fn, task_frame(x_unified, task))
+    z = decode(x_unified, task) - task.shift
+    return benchmarks.task_eval(task.base_fn, z @ task.rotation.T)

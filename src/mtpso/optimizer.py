@@ -16,7 +16,7 @@ import numpy as np
 
 from . import adaptation, benchmarks
 from .adaptation import MemoryWindow
-from .core import MtoProblem, RunConfig, TaskDef, rotate_rows
+from .core import MtoProblem, RunConfig, TaskDef
 
 
 class NonFiniteFitnessError(FloatingPointError):
@@ -49,7 +49,7 @@ class SwarmState:
     order a run alone draws them.
     Once the move is done, both (K·C, N, D_u) scratch buffers serve the
     evaluation: ``term`` takes the decoded positions, and ``draws`` holds
-    the task-frame rows of the plan's groups.
+    the (cells, N, d) task frames of the plan's groups.
     """
 
     problems: tuple[MtoProblem, ...]
@@ -154,8 +154,8 @@ class _Group:
     dimension, evaluated by one ``task_eval`` call over ``frame``."""
 
     base_fn: str
-    frame: np.ndarray  # (particles, d) task-frame coordinates, a view of scratch
-    segments: list[tuple[slice, TaskDef, slice]]  # swarm particles, task, frame rows
+    frame: np.ndarray  # (cells, N, d) task-frame coordinates, a view of scratch
+    segments: list[tuple[slice, TaskDef, slice]]  # swarm rows, task, frame cells
 
 
 @dataclass
@@ -172,11 +172,11 @@ class _Plan:
 
 def _evaluation_plan(problems: tuple, n_s: int, frames: np.ndarray) -> _Plan:
     """A segment is one task index over a run of adjacent cells on the same
-    problem: the particles of rows t·C + c0 to t·C + c1, in the flattened
-    (K·C·N, D_u) positions. Segments are grouped by (base function, task
-    dimension), and the groups' frames are consecutive parts of the
-    (K·C, N, D_u) buffer ``frames``, which holds them all since no task
-    dimension exceeds D_u."""
+    problem: the swarm rows t·C + c0 to t·C + c1. Segments are grouped by
+    (base function, task dimension), each taking the next c1 − c0 cells of
+    its group's frame, and the groups' (cells, N, d) frames are consecutive
+    parts of the (K·C, N, D_u) buffer ``frames``, which holds them all
+    since no task dimension exceeds D_u."""
     cells = len(problems)
     k, d_u = problems[0].num_tasks, problems[0].unified_dim
     lower, width, shift = np.zeros((3, k * cells, 1, d_u))
@@ -193,13 +193,12 @@ def _evaluation_plan(problems: tuple, n_s: int, frames: np.ndarray) -> _Plan:
             task = problems[c0].tasks[t]
             segments = groups.setdefault((task.base_fn, task.dim), [])
             at = segments[-1][2].stop if segments else 0
-            particles = slice((t * cells + c0) * n_s, (t * cells + c1) * n_s)
-            segments.append((particles, task, slice(at, at + (c1 - c0) * n_s)))
+            segments.append((slice(t * cells + c0, t * cells + c1), task, slice(at, at + c1 - c0)))
     plan = _Plan(lower, width, shift, [])
     flat, at = frames.reshape(-1), 0
     for (fn, d), segs in groups.items():
-        size = segs[-1][2].stop * d
-        plan.groups.append(_Group(fn, flat[at : at + size].reshape(-1, d), segs))
+        size = segs[-1][2].stop * n_s * d
+        plan.groups.append(_Group(fn, flat[at : at + size].reshape(-1, n_s, d), segs))
         at += size
     return plan
 
@@ -207,27 +206,28 @@ def _evaluation_plan(problems: tuple, n_s: int, frames: np.ndarray) -> _Plan:
 def _evaluate(plan: _Plan, problems: tuple, positions: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Fitness of the stacked positions: one decode pass over the whole
     swarm into ``scratch`` (lower + x·width, then − shift: the operations
-    of :func:`core.decode` and :func:`core.task_frame`, in their order),
-    each segment's rotation, then one ``task_eval`` call per group of the
-    plan. A NaN or infinite value is an error."""
+    of :func:`core.evaluate_task`, in its order), each segment's rotation
+    as one stacked ``matmul`` call, which makes one (N, d) × (d, d) product
+    per cell, the product a cell run alone makes, then one ``task_eval``
+    call per group of the plan. A NaN or infinite value is an error."""
     rows, n_s, d_u = positions.shape
     np.multiply(positions, plan.width, out=scratch)
     scratch += plan.lower
     scratch -= plan.shift
-    z = scratch.reshape(-1, d_u)
-    fit = np.empty(rows * n_s)
+    fit = np.empty((rows, n_s))
     for group in plan.groups:
-        for particles, task, at in group.segments:
-            rotate_rows(z[particles, : task.dim], task, group.frame[at])
-        values = benchmarks.task_eval(group.base_fn, group.frame)
-        for particles, _, at in group.segments:
-            fit[particles] = values[at]
+        for swarm_rows, task, at in group.segments:
+            np.matmul(scratch[swarm_rows, :, : task.dim], task.rotation.T, out=group.frame[at])
+        d = group.frame.shape[-1]
+        values = benchmarks.task_eval(group.base_fn, group.frame.reshape(-1, d)).reshape(-1, n_s)
+        for swarm_rows, _, at in group.segments:
+            fit[swarm_rows] = values[at]
     if not np.isfinite(fit).all():
         t, c = divmod(int(np.flatnonzero(~np.isfinite(fit))[0]) // n_s, len(problems))
         raise NonFiniteFitnessError(
             f"task index {t} (base function {problems[c].tasks[t].base_fn!r}) gave a non-finite fitness"
         )
-    return fit.reshape(rows, n_s)
+    return fit
 
 
 def init_swarm(problems: Sequence[MtoProblem], configs: Sequence[RunConfig]) -> SwarmState:

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtpso.core import (
-    ROTATION_BLOCK,
     DimensionMismatchError,
     MtoProblem,
     RunConfig,
@@ -68,18 +67,6 @@ class TestDecode:
 
 
 class TestEvaluateTask:
-    def test_blocked_rotation_equals_per_swarm_products(self):
-        # a stack of 8 swarms of 50 rows of a 50-D task is rotated in blocks
-        # of ROTATION_BLOCK // 50**2 rows; every row equals its swarm's own product
-        from mtpso.benchmarks import make_task
-
-        task = make_task("rastrigin", 50, 5)
-        x = np.random.default_rng(6).random((400, 50))
-        assert 400 > ROTATION_BLOCK // 50**2
-        stacked = evaluate_task(x, task)
-        per_swarm = np.concatenate([evaluate_task(x[i : i + 50], task) for i in range(0, 400, 50)])
-        assert np.array_equal(stacked, per_swarm)
-
     def test_zero_at_constructed_optimum(self):
         from mtpso.benchmarks import make_task
 

@@ -359,6 +359,18 @@ class TestBatches:
         for name in ("results.csv", "convergence.csv", "transfer.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_one_particle_per_task_same_at_one_and_two_jobs(self):
+        # one batch of both cells at one job, a batch per cell at two: with
+        # N = 1 the rotations are (1, d) x (d, d) products of either
+        spec = parse_experiment(
+            {"suite": "suite1", "problem_ids": [2], "algorithms": ["samtpso-s2"], "runs": 2, "pop_per_task": 1,
+             "max_gens": 30, "write_convergence": False, "write_transfer": False}
+        )
+        problems = resolve_problems(spec)
+        one, two = (execute(spec, jobs=jobs, problems=problems) for jobs in (1, 2))
+        for a, b in zip(one, two, strict=True):
+            assert np.array_equal(a.final_fevs, b.final_fevs)
+
     def test_batched_cells_equal_cells_run_alone(self, tiny_problems, tmp_path):
         spec = parse_experiment(self.lp_sweep_config(tiny_problems, tmp_path / "out"))
         problems = dict(resolve_problems(spec))

@@ -1,14 +1,18 @@
 import copy
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtpso import adaptation, benchmarks
+from mtpso import adaptation, benchmarks, optimizer
 from mtpso.benchmarks import make_task
-from mtpso.core import ALGORITHMS, ROTATION_BLOCK, MtoProblem, RunConfig, evaluate_task
+from mtpso.core import ALGORITHMS, MtoProblem, RunConfig, evaluate_task
 from mtpso.optimizer import (
     NonFiniteFitnessError,
     _bounce,
@@ -510,9 +514,12 @@ class TestBatch:
             ),
             label="cells",
         )
+        # with one particle per task, a cell's rotations are (1, d) x (d, d)
+        # products, which the BLAS may compute by another kernel than (N, d)
+        n_s = data.draw(st.sampled_from([1, 6]), label="pop_per_task")
         batch = [problems[p] for p, *_ in cells]
         configs = [
-            RunConfig(algorithm=algorithm, pop_per_task=6, max_gens=14, seed=seed, lp=lp, bp=bp)
+            RunConfig(algorithm=algorithm, pop_per_task=n_s, max_gens=14, seed=seed, lp=lp, bp=bp)
             for _, algorithm, seed, lp, bp in cells
         ]
         unrecorded = run_batch(batch, configs, record_trace=False, record_counts=False)
@@ -530,6 +537,32 @@ class TestBatch:
             assert bare.fev_trace is None and bare.source_counts is None
             assert np.array_equal(bare.best_fevs, got.best_fevs)
             assert np.array_equal(bare.best_positions, got.best_positions)
+
+    def test_batch_equals_cells_alone_on_the_generic_blas_kernel(self):
+        """OpenBLAS's generic kernel gives a row of a product other bits in
+        a product of more rows; a batch of cells on one 50-D problem still
+        equals each cell alone. The variable acts only on the subprocess,
+        and where the BLAS ignores it, this checks the host's kernel."""
+        code = (
+            "import numpy as np\n"
+            "from mtpso.benchmarks import make_task\n"
+            "from mtpso.core import MtoProblem, RunConfig\n"
+            "from mtpso.optimizer import run, run_batch\n"
+            "problem = MtoProblem((make_task('rastrigin', 50, 1), make_task('ackley', 50, 2)))\n"
+            "configs = [RunConfig(algorithm='samtpso-s2', max_gens=20, seed=s) for s in (1, 2, 3)]\n"
+            "for config, got in zip(configs, run_batch([problem] * 3, configs)):\n"
+            "    alone = run(problem, config)\n"
+            "    print(np.array_equal(got.fev_trace, alone.fev_trace)\n"
+            "          and np.array_equal(got.best_positions, alone.best_positions))\n"
+        )
+        src = Path(optimizer.__file__).resolve().parent.parent
+        env = {
+            **os.environ,
+            "OPENBLAS_CORETYPE": "Prescott",
+            "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]),
+        }
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["True"] * 3
 
     def test_configs_must_differ_only_in_seed_lp_bp(self):
         base = RunConfig(pop_per_task=4, max_gens=3)
@@ -573,25 +606,23 @@ class TestBatch:
 
 class TestEvaluate:
     def test_equals_evaluate_task_per_segment(self):
-        """The one-pass decode and each segment's blocked rotation give the
-        values ``evaluate_task`` gives for the segment's particles: cells 0
-        and 1 share a problem, whose task-0 segment is longer than one
-        rotation block; task 1 has d < D_u; the two problems' task 0 share
-        a (base function, dimension) group."""
+        """The one-pass decode and each segment's stacked rotation give
+        every cell's rows the values ``evaluate_task`` gives for that
+        cell's rows alone: cells 0 and 1 share a problem, so each of its
+        tasks is one two-cell segment; task 1 has d < D_u; the two
+        problems' task 0 share a (base function, dimension) group."""
         n, d_u = 60, 50
         first = MtoProblem(tasks=(make_task("ackley", d_u, 1), make_task("rastrigin", 20, 2)))
         second = MtoProblem(tasks=(make_task("ackley", d_u, 3), make_task("weierstrass", 7, 4)))
         problems = (first, first, second)
-        assert 2 * n > ROTATION_BLOCK // d_u**2
         positions = np.random.default_rng(8).random((2 * len(problems), n, d_u))
         plan = _evaluation_plan(problems, n, np.empty_like(positions))
+        assert [len(group.segments) for group in plan.groups] == [2, 1, 1]
         fit = _evaluate(plan, problems, positions, np.empty_like(positions))
         for t in range(2):
-            for cells in (slice(0, 2), slice(2, 3)):
-                rows = slice(t * 3 + cells.start, t * 3 + cells.stop)
-                task = problems[cells.start].tasks[t]
-                want = evaluate_task(positions[rows].reshape(-1, d_u), task)
-                assert np.array_equal(fit[rows].ravel(), want)
+            for c, problem in enumerate(problems):
+                row = t * len(problems) + c
+                assert np.array_equal(fit[row], evaluate_task(positions[row], problem.tasks[t]))
 
 
 class TestNonFiniteFitness:
