@@ -19,12 +19,28 @@ BENCHMARK.json. A workload with a failed run gets no figures, and the
 script exits 1 once the file is written. With ``--tier1`` it also
 times the Tier-1 command once on each side, the change first.
 
+With ``--in-process`` it pairs single batches instead, in one process:
+
+    python3 scripts/bench_pairs.py --parent HEAD --in-process \\
+        --pairs suite1-paper=5 --pairs suite2-artifacts=5 --pairs manytask-sweep=5
+
+Both trees' ``src/mtpso`` are imported under two package names. Each
+workload's grid is built from ``bench/workloads.make`` at ``--seed`` and
+cut into the batches its grid runs in on this machine. Each batch runs once on each side,
+untimed, to compare the two sides' results; then N rounds time
+``optimizer.run_batch`` in CPU time on each side, alternating which side
+runs first. It prints one line per batch: the
+median of the per-round ratios parent time / change time (above 1 when the
+change is faster), the rounds the change was faster in, and whether the
+two sides' results are equal. It writes no file.
+
 Measure with nothing else running: the pairs share the machine.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
 import os
@@ -35,6 +51,7 @@ import sys
 import tarfile
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,12 +63,16 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git ref of the parent commit")
-    parser.add_argument("--pr", required=True, help="suffix of the BENCH_<pr>.json written")
+    parser.add_argument("--pr", help="suffix of the BENCH_<pr>.json written (not with --in-process)")
     parser.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--tier1", action="store_true", help="also time the Tier-1 tests on both sides")
-    return parser.parse_args(argv)
+    parser.add_argument("--in-process", action="store_true", help="pair single batches in this process")
+    args = parser.parse_args(argv)
+    if not args.in_process and args.pr is None:
+        parser.error("--pr is required without --in-process")
+    return args
 
 
 def export(ref: str, directory: Path) -> None:
@@ -123,6 +144,92 @@ def verdict(summary: dict, better: str, bound: float) -> str:
     return "no worse"
 
 
+def load_package(src: Path, name: str):
+    """Import the ``mtpso`` package under ``src`` as ``name``, so that two
+    trees' packages can sit side by side in one process."""
+    spec = importlib.util.spec_from_file_location(
+        name, src / "mtpso" / "__init__.py", submodule_search_locations=[str(src / "mtpso")]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def grid_cells(package, workload) -> list[tuple]:
+    """The workload's grid as ``package``'s harness builds it, as cells
+    (label, config, problem, problem id, run), in grid order; a sweep's
+    configs take each swept lp, as ``mtpso sweep`` gives them."""
+    harness = package.harness
+    spec = harness.parse_experiment(workload.config, name_default=workload.name)
+    if workload.sweep_values:
+        swept = [(f"{label}@lp={v}", replace(c, lp=v)) for v in workload.sweep_values for label, c in spec.algorithms]
+        spec = replace(spec, algorithms=tuple(swept))
+    problems = harness.resolve_problems(spec)
+    return [
+        (label, replace(config, seed=harness.derive_seed(spec.master_seed, label, pid, run)), problem, pid, run)
+        for label, config in spec.algorithms
+        for pid, problem in problems
+        for run in range(1, spec.runs + 1)
+    ]
+
+
+def pair_summary(parent: list[float], change: list[float]) -> dict:
+    """Paired times of one batch: the median of the per-round ratios
+    parent / change (above 1 when the change is faster) and the number of
+    rounds in which the change was faster."""
+    ratios = [p / c for p, c in zip(parent, change)]
+    return {"median_ratio": statistics.median(ratios), "change_wins": sum(r > 1.0 for r in ratios)}
+
+
+def same_results(a: list, b: list) -> bool:
+    """Whether two lists of RunResults hold the same bests, traces and
+    source counts, bit for bit."""
+    fields = ("best_fevs", "best_positions", "fev_trace", "source_counts")
+    return len(a) == len(b) and all(np.array_equal(getattr(x, f), getattr(y, f)) for x, y in zip(a, b) for f in fields)
+
+
+def in_process(args, pairs: dict[str, int]) -> int:
+    """Time each workload's batches on both sides in this process and print
+    one line per batch; exits 1 if some batch's results differ."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    status = 0
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        export(args.parent, Path(tmp) / "tree")
+        packages = {"parent": load_package(Path(tmp) / "tree" / "src", "mtpso_parent"),
+                    "change": load_package(ROOT / "src", "mtpso_change")}
+        for name, rounds in pairs.items():
+            workload = workloads.make(name, args.seed, Path(tmp) / name)
+            config = workload.config
+            keep = {"record_trace": config["write_convergence"], "record_counts": config["write_transfer"]}
+            cells = {side: grid_cells(package, workload) for side, package in packages.items()}
+
+            def call(side, batch):
+                chosen = [cells[side][i] for i in batch]
+                problems, configs = [cell[2] for cell in chosen], [cell[1] for cell in chosen]
+                return packages[side].optimizer.run_batch(problems, configs, **keep)
+
+            # bench/run.py runs a sweep at the default --jobs of `mtpso sweep`
+            jobs = importlib.import_module("mtpso_change.cli")._usable_cpus() if workload.sweep_values else workload.jobs
+            for b, batch in enumerate(packages["change"].harness._batches(cells["change"], jobs)):
+                equal = same_results(call("parent", batch), call("change", batch))
+                times = {"parent": [], "change": []}
+                for i in range(rounds):
+                    for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                        start = time.process_time()
+                        call(side, batch)
+                        times[side].append(time.process_time() - start)
+                summary = pair_summary(times["parent"], times["change"])
+                label = cells["change"][batch[0]][0]
+                print(f"{name} batch {b} ({len(batch)} cells, {label}, ...): parent/change CPU time "
+                      f"{summary['median_ratio']:.3f} (median of {rounds}), change faster in "
+                      f"{summary['change_wins']} of {rounds}, results equal: {equal}", flush=True)
+                status |= not equal
+    return status
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -131,6 +238,8 @@ def main(argv=None) -> int:
     for item in args.pairs:
         name, _, n = item.partition("=")
         pairs[name] = int(n)
+    if args.in_process:
+        return in_process(args, pairs)
     command = f"python3 bench/run.py --workload <workload> --seed {args.seed} --seconds {args.seconds:g} --trace 0"
     out = {
         "what": "End-to-end metrics of the benchmark, the parent commit against this change, in pairs that "

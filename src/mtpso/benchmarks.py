@@ -103,16 +103,21 @@ def weierstrass(y):
 def _schwefel_bounded(y):
     # Standard boundary treatment for the rotated variant: fold arguments
     # beyond +-500 back toward the boundary and add a quadratic penalty, so
-    # the canonical interior optimum stays global.
+    # the canonical interior optimum stays global. The fold is made first,
+    # on a copy, so one y*sin(sqrt|y|) pass covers every entry.
     y = np.asarray(y, dtype=float)
     d = y.shape[-1]
-    g = y * np.sin(np.sqrt(np.abs(y)))
-    out = np.abs(y) > 500.0
-    if np.any(out):
-        a = np.abs(y[out])
-        w = np.copysign(500.0 - np.fmod(a, 500.0), y[out])
-        g[out] = w * np.sin(np.sqrt(np.abs(w))) - (a - 500.0) ** 2 / (10000.0 * d)
-    return 418.9829 * d - np.sum(g, axis=-1)
+    flat = y.flatten()
+    a = np.abs(flat)
+    out = np.flatnonzero(a > 500.0)
+    over = a[out]
+    a[out] = 500.0 - np.fmod(over, 500.0)
+    flat[out] = np.copysign(a[out], flat[out])
+    g = np.sqrt(a)
+    np.sin(g, out=g)
+    g *= flat
+    g[out] -= (over - 500.0) ** 2 / (10000.0 * d)
+    return 418.9829 * d - np.sum(g.reshape(y.shape), axis=-1)
 
 
 def schwefel(y):

@@ -279,9 +279,9 @@ def _batches(cells: list, jobs: int) -> list[list[int]]:
     """Indices of the grid's cells, grouped into batches by
     :func:`optimizer.batch_key`: cells with equal task count K and unified
     dimension D_u whose configs differ only in seed, lp, bp and PSO against
-    S2 (so equal N). A group is sorted by problem id, keeping grid order
-    within a problem, so that a problem's cells stay adjacent, and split
-    into near-equal batches of at most BATCH_ELEMENTS stacked elements.
+    S2 (so equal N). A group is split into near-equal batches of at most
+    BATCH_ELEMENTS stacked elements in problem id order, grid order within
+    a problem, so a batch spans few problems and few (base_fn, dim) groups.
     While the grid has fewer batches than ``jobs`` and than cells, the
     group with the most cells per batch is cut into one batch more, so
     that every worker gets a batch but no group is cut further than the

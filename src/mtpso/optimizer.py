@@ -16,7 +16,7 @@ import numpy as np
 
 from . import adaptation, benchmarks
 from .adaptation import MemoryWindow
-from .core import MtoProblem, RunConfig, TaskDef
+from .core import MtoProblem, RunConfig
 
 
 class NonFiniteFitnessError(FloatingPointError):
@@ -47,9 +47,6 @@ class SwarmState:
     and ``draws[row]``; ``draws`` holds one velocity term's r at a time,
     drawn just before that term, so each stream yields its doubles in the
     order a run alone draws them.
-    Once the move is done, both (K·C, N, D_u) scratch buffers serve the
-    evaluation: ``term`` takes the decoded positions, and ``draws`` holds
-    the (cells, N, d) task frames of the plan's groups.
     """
 
     problems: tuple[MtoProblem, ...]
@@ -70,7 +67,7 @@ class SwarmState:
     select_rngs: list[np.random.Generator]
     vel_rngs: list[np.random.Generator]
     picks: np.ndarray  # (K·C, N) roulette draws
-    draws: np.ndarray  # (K·C, N, D_u): one velocity term's r, then the task frames
+    draws: np.ndarray  # (K·C, N, D_u): one velocity term's r
     term: np.ndarray  # (K·C, N, D_u): one velocity term, then the decode
     plan: _Plan
     generation: int = 1
@@ -150,78 +147,74 @@ def batch_key(problem: MtoProblem, config: RunConfig) -> tuple[int, int, RunConf
 
 @dataclass
 class _Group:
-    """Segments of the stacked swarm on one base function and task
-    dimension, evaluated by one ``task_eval`` call over ``frame``."""
+    """Swarm rows on one base function and task dimension, rotated by one
+    stacked ``matmul`` and evaluated by one ``task_eval`` call."""
 
     base_fn: str
-    frame: np.ndarray  # (cells, N, d) task-frame coordinates, a view of scratch
-    segments: list[tuple[slice, TaskDef, slice]]  # swarm rows, task, frame cells
+    at: slice  # the group's rows in the plan's order
+    rotations: np.ndarray  # (rows, d, d): each row's task.rotation.T
+    frame: np.ndarray  # (rows, N, d): the rotated rows
 
 
 @dataclass
 class _Plan:
-    """How a stacked swarm is evaluated: every row's decode tables, of
-    shape (K·C, 1, D_u) and zero beyond the row's task dimension, and the
-    groups of segments that share a base function and dimension."""
+    """How a stacked swarm is evaluated: its rows in ``order``, one group
+    after another, and every row's decode tables in that order, of shape
+    (K·C, 1, D_u) and zero beyond the row's task dimension."""
 
+    order: np.ndarray
     lower: np.ndarray
     width: np.ndarray  # upper − lower
     shift: np.ndarray
     groups: list[_Group]
 
 
-def _evaluation_plan(problems: tuple, n_s: int, frames: np.ndarray) -> _Plan:
-    """A segment is one task index over a run of adjacent cells on the same
-    problem: the swarm rows t·C + c0 to t·C + c1. Segments are grouped by
-    (base function, task dimension), each taking the next c1 − c0 cells of
-    its group's frame, and the groups' (cells, N, d) frames are consecutive
-    parts of the (K·C, N, D_u) buffer ``frames``, which holds them all
-    since no task dimension exceeds D_u."""
+def _evaluation_plan(problems: tuple, n_s: int) -> _Plan:
+    """Group the swarm rows, row t·C + c for cell c's task t, by (base
+    function, task dimension), in order of first appearance. Each group
+    keeps a frame buffer: a fresh product each generation faults pages
+    once it outgrows malloc's mmap threshold (ten suite-1 cells: 200 KB)."""
     cells = len(problems)
-    k, d_u = problems[0].num_tasks, problems[0].unified_dim
-    lower, width, shift = np.zeros((3, k * cells, 1, d_u))
-    for c, problem in enumerate(problems):
-        for t, task in enumerate(problem.tasks):
-            row = t * cells + c
-            lower[row, 0, : task.dim] = task.lower
-            width[row, 0, : task.dim] = task.upper - task.lower
-            shift[row, 0, : task.dim] = task.shift
-    starts = [c for c in range(cells) if c == 0 or problems[c] is not problems[c - 1]]
-    groups: dict = {}
-    for t in range(k):
-        for c0, c1 in zip(starts, starts[1:] + [cells]):
-            task = problems[c0].tasks[t]
-            segments = groups.setdefault((task.base_fn, task.dim), [])
-            at = segments[-1][2].stop if segments else 0
-            segments.append((slice(t * cells + c0, t * cells + c1), task, slice(at, at + c1 - c0)))
-    plan = _Plan(lower, width, shift, [])
-    flat, at = frames.reshape(-1), 0
-    for (fn, d), segs in groups.items():
-        size = segs[-1][2].stop * n_s * d
-        plan.groups.append(_Group(fn, flat[at : at + size].reshape(-1, n_s, d), segs))
-        at += size
+    members: dict = {}
+    for t in range(problems[0].num_tasks):
+        for c, problem in enumerate(problems):
+            task = problem.tasks[t]
+            members.setdefault((task.base_fn, task.dim), []).append((t * cells + c, task))
+    ordered = [member for group in members.values() for member in group]
+    lower, width, shift = np.zeros((3, len(ordered), 1, problems[0].unified_dim))
+    for i, (_, task) in enumerate(ordered):
+        lower[i, 0, : task.dim] = task.lower
+        width[i, 0, : task.dim] = task.upper - task.lower
+        shift[i, 0, : task.dim] = task.shift
+    plan = _Plan(np.array([row for row, _ in ordered]), lower, width, shift, [])
+    at = 0
+    for (fn, d), group in members.items():
+        # a transposed stack of the C-ordered rotations: each slice is laid
+        # out as task.rotation.T, and a contiguous copy changes the bits
+        rotations = np.stack([task.rotation for _, task in group]).transpose(0, 2, 1)
+        span = slice(at, at + len(group))
+        plan.groups.append(_Group(fn, span, rotations, np.empty((len(group), n_s, d))))
+        at += len(group)
     return plan
 
 
 def _evaluate(plan: _Plan, problems: tuple, positions: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Fitness of the stacked positions: one decode pass over the whole
-    swarm into ``scratch`` (lower + x·width, then − shift: the operations
-    of :func:`core.evaluate_task`, in its order), each segment's rotation
-    as one stacked ``matmul`` call, which makes one (N, d) × (d, d) product
-    per cell, the product a cell run alone makes, then one ``task_eval``
-    call per group of the plan. A NaN or infinite value is an error."""
+    swarm, gathered in the plan's order into ``scratch`` (lower + x·width,
+    then − shift: the operations of :func:`core.evaluate_task`, in its
+    order), then per group one stacked ``matmul`` call, which makes one
+    (N, d) × (d, d) product per row, the product a cell run alone makes,
+    and one ``task_eval`` call. A NaN or infinite value is an error."""
     rows, n_s, d_u = positions.shape
-    np.multiply(positions, plan.width, out=scratch)
+    np.take(positions, plan.order, axis=0, out=scratch, mode="clip")
+    scratch *= plan.width
     scratch += plan.lower
     scratch -= plan.shift
     fit = np.empty((rows, n_s))
     for group in plan.groups:
-        for swarm_rows, task, at in group.segments:
-            np.matmul(scratch[swarm_rows, :, : task.dim], task.rotation.T, out=group.frame[at])
         d = group.frame.shape[-1]
-        values = benchmarks.task_eval(group.base_fn, group.frame.reshape(-1, d)).reshape(-1, n_s)
-        for swarm_rows, _, at in group.segments:
-            fit[swarm_rows] = values[at]
+        np.matmul(scratch[group.at, :, :d], group.rotations, out=group.frame)
+        fit[plan.order[group.at]] = benchmarks.task_eval(group.base_fn, group.frame.reshape(-1, d)).reshape(-1, n_s)
     if not np.isfinite(fit).all():
         t, c = divmod(int(np.flatnonzero(~np.isfinite(fit))[0]) // n_s, len(problems))
         raise NonFiniteFitnessError(
@@ -262,7 +255,7 @@ def init_swarm(problems: Sequence[MtoProblem], configs: Sequence[RunConfig]) -> 
             select_rngs[row] = np.random.default_rng(select_ss)
             vel_rngs[row] = np.random.default_rng(vel_ss)
     draws, term = np.empty((2, rows, n_s, d_u))
-    plan = _evaluation_plan(problems, n_s, draws)
+    plan = _evaluation_plan(problems, n_s)
     fit = _evaluate(plan, problems, positions, term)
     best = np.argmin(fit, axis=1)
     transfer = np.tile([c.algorithm not in NO_TRANSFER for c in configs], k)

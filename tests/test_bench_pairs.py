@@ -53,3 +53,22 @@ def test_summary_records_each_pairs_ratio():
     assert got["change_better_in_pairs"] == 1
     # the ratio is change / parent whichever way is better
     assert bench_pairs.summarize([40.0, 50.0], [42.0, 45.0], "lower")["pair_ratios"] == [1.05, 0.9]
+
+
+def test_pair_summary_of_paired_times():
+    """The in-process ratio is parent / change per round, above 1 when the
+    change is faster; a tie is not a win."""
+    got = bench_pairs.pair_summary([2.0, 3.0, 1.0, 4.0], [1.0, 3.0, 2.0, 2.0])
+    assert got == {"median_ratio": 1.5, "change_wins": 2}
+    assert bench_pairs.pair_summary([1.0], [1.25])["median_ratio"] == 0.8
+
+
+def test_load_package_imports_a_tree_under_another_name():
+    """A tree's package imported under a second name keeps its own modules,
+    apart from the ones imported as ``mtpso``."""
+    import mtpso
+
+    copy = bench_pairs.load_package(Path(mtpso.__file__).resolve().parent.parent, "mtpso_second_copy")
+    assert copy.optimizer.__name__ == "mtpso_second_copy.optimizer"
+    assert copy.optimizer.run_batch is not mtpso.optimizer.run_batch
+    assert copy.core.RunConfig is not mtpso.core.RunConfig

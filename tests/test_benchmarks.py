@@ -154,6 +154,29 @@ class TestBaseFunctions:
             898.78119735162,
         ]
 
+    def test_schwefel_one_sine_pass_matches_expression(self):
+        # folding the entries beyond +-500 before the one sine pass keeps
+        # the bits of the form that takes the sine twice there
+        def expression(y):
+            d = y.shape[-1]
+            g = y * np.sin(np.sqrt(np.abs(y)))
+            out = np.abs(y) > 500.0
+            if np.any(out):
+                a = np.abs(y[out])
+                w = np.copysign(500.0 - np.fmod(a, 500.0), y[out])
+                g[out] = w * np.sin(np.sqrt(np.abs(w))) - (a - 500.0) ** 2 / (10000.0 * d)
+            return 418.9829 * d - np.sum(g, axis=-1)
+
+        past = np.nextafter(500.0, np.inf)
+        edges = [500.0, -500.0, 1000.0, -1000.0, past, -past, 500.0 + 1e-9, -0.0, np.nan, 0.0, 1500.0]
+        rng = np.random.default_rng(1414)
+        for shape, scale in (((300, 8), 800.0), ((100, 50), 1500.0), ((60, 20), 450.0), ((7,), 3000.0)):
+            y = rng.uniform(-scale, scale, shape)
+            y.reshape(-1)[: len(edges)] = edges[: y.size]
+            kept = y.copy()
+            assert np.array_equal(benchmarks._schwefel_bounded(y), expression(y), equal_nan=True)
+            assert np.array_equal(y, kept, equal_nan=True)  # the input is left as it was
+
     def test_unknown_function(self):
         with pytest.raises(KeyError, match="unknown base function"):
             task_eval("camelback", np.zeros(2))

@@ -540,20 +540,30 @@ class TestBatch:
 
     def test_batch_equals_cells_alone_on_the_generic_blas_kernel(self):
         """OpenBLAS's generic kernel gives a row of a product other bits in
-        a product of more rows; a batch of cells on one 50-D problem still
-        equals each cell alone. The variable acts only on the subprocess,
-        and where the BLAS ignores it, this checks the host's kernel."""
+        a product of more rows; a batch still equals each cell alone. The
+        first batch has three cells on one 50-D problem; the second has S1
+        cells on two problems in the order p1, p2, p1, whose 50-D Rastrigin
+        tasks share one stacked rotation call over distinct rotations, and
+        whose second tasks are 20-D Ackley (d < D_u). The variable acts
+        only on the subprocess, and where the BLAS ignores it, this checks
+        the host's kernel."""
         code = (
             "import numpy as np\n"
             "from mtpso.benchmarks import make_task\n"
             "from mtpso.core import MtoProblem, RunConfig\n"
             "from mtpso.optimizer import run, run_batch\n"
             "problem = MtoProblem((make_task('rastrigin', 50, 1), make_task('ackley', 50, 2)))\n"
-            "configs = [RunConfig(algorithm='samtpso-s2', max_gens=20, seed=s) for s in (1, 2, 3)]\n"
-            "for config, got in zip(configs, run_batch([problem] * 3, configs)):\n"
-            "    alone = run(problem, config)\n"
-            "    print(np.array_equal(got.fev_trace, alone.fev_trace)\n"
-            "          and np.array_equal(got.best_positions, alone.best_positions))\n"
+            "p1 = MtoProblem((make_task('rastrigin', 50, 3), make_task('ackley', 20, 4)))\n"
+            "p2 = MtoProblem((make_task('rastrigin', 50, 5), make_task('ackley', 20, 6)))\n"
+            "batches = [\n"
+            "    ([problem] * 3, [RunConfig(algorithm='samtpso-s2', max_gens=20, seed=s) for s in (1, 2, 3)]),\n"
+            "    ([p1, p2, p1], [RunConfig(algorithm='samtpso-s1', max_gens=20, seed=s) for s in (4, 5, 6)]),\n"
+            "]\n"
+            "for problems, configs in batches:\n"
+            "    for problem, config, got in zip(problems, configs, run_batch(problems, configs)):\n"
+            "        alone = run(problem, config)\n"
+            "        print(np.array_equal(got.fev_trace, alone.fev_trace)\n"
+            "              and np.array_equal(got.best_positions, alone.best_positions))\n"
         )
         src = Path(optimizer.__file__).resolve().parent.parent
         env = {
@@ -562,7 +572,7 @@ class TestBatch:
             "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]),
         }
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.split() == ["True"] * 3
+        assert out.stdout.split() == ["True"] * 6
 
     def test_configs_must_differ_only_in_seed_lp_bp(self):
         base = RunConfig(pop_per_task=4, max_gens=3)
@@ -605,19 +615,19 @@ class TestBatch:
 
 
 class TestEvaluate:
-    def test_equals_evaluate_task_per_segment(self):
-        """The one-pass decode and each segment's stacked rotation give
-        every cell's rows the values ``evaluate_task`` gives for that
-        cell's rows alone: cells 0 and 1 share a problem, so each of its
-        tasks is one two-cell segment; task 1 has d < D_u; the two
-        problems' task 0 share a (base function, dimension) group."""
+    def test_equals_evaluate_task_per_group(self):
+        """The one-pass decode and each group's stacked rotation give every
+        cell's rows the values ``evaluate_task`` gives for that cell's rows
+        alone: cells 0 and 1 share a problem; task 1 has d < D_u; the three
+        cells' task 0 form one (base function, dimension) group over two
+        problems' rotations, and the problems' task 1 form two more."""
         n, d_u = 60, 50
         first = MtoProblem(tasks=(make_task("ackley", d_u, 1), make_task("rastrigin", 20, 2)))
         second = MtoProblem(tasks=(make_task("ackley", d_u, 3), make_task("weierstrass", 7, 4)))
         problems = (first, first, second)
         positions = np.random.default_rng(8).random((2 * len(problems), n, d_u))
-        plan = _evaluation_plan(problems, n, np.empty_like(positions))
-        assert [len(group.segments) for group in plan.groups] == [2, 1, 1]
+        plan = _evaluation_plan(problems, n)
+        assert [plan.order[group.at].tolist() for group in plan.groups] == [[0, 1, 2], [3, 4], [5]]
         fit = _evaluate(plan, problems, positions, np.empty_like(positions))
         for t in range(2):
             for c, problem in enumerate(problems):
