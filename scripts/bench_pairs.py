@@ -31,8 +31,9 @@ untimed, to compare the two sides' results; then N rounds time
 ``optimizer.run_batch`` in CPU time on each side, alternating which side
 runs first. It prints one line per batch: the
 median of the per-round ratios parent time / change time (above 1 when the
-change is faster), the rounds the change was faster in, and whether the
-two sides' results are equal. It writes no file.
+change is faster), a distribution-free interval for that median (see
+``median_interval``; from 6 rounds on), the rounds the change was faster
+in, and whether the two sides' results are equal. It writes no file.
 
 Measure with nothing else running: the pairs share the machine.
 """
@@ -43,6 +44,7 @@ import argparse
 import importlib.util
 import io
 import json
+import math
 import os
 import platform
 import statistics
@@ -182,6 +184,23 @@ def pair_summary(parent: list[float], change: list[float]) -> dict:
     return {"median_ratio": statistics.median(ratios), "change_wins": sum(r > 1.0 for r in ratios)}
 
 
+def median_interval(values: list[float]) -> tuple[float, float, float] | None:
+    """A distribution-free interval for the median of n values: the sorted
+    values v_(k) and v_(n+1-k) for the largest k with
+    2·sum_{i<k} C(n, i) / 2^n <= 0.05, and its coverage 1 minus that sum
+    (at n = 10, v_(2) and v_(9), 97.9 %). None below 6 values, where even
+    k = 1 covers less than 95 %."""
+    n = len(values)
+    k = tail = 0  # tail: sum_{i<k} C(n, i)
+    while 40 * (tail + math.comb(n, k)) <= 2**n:
+        tail += math.comb(n, k)
+        k += 1
+    if k == 0:
+        return None
+    ordered = sorted(values)
+    return ordered[k - 1], ordered[n - k], 1 - 2 * tail / 2**n
+
+
 def same_results(a: list, b: list) -> bool:
     """Whether two lists of RunResults hold the same bests, traces and
     source counts, bit for bit."""
@@ -222,9 +241,14 @@ def in_process(args, pairs: dict[str, int]) -> int:
                         call(side, batch)
                         times[side].append(time.process_time() - start)
                 summary = pair_summary(times["parent"], times["change"])
+                interval = median_interval([p / c for p, c in zip(times["parent"], times["change"])])
+                if interval is None:
+                    spread = "no interval below 6 rounds"
+                else:
+                    spread = f"interval [{interval[0]:.3f}, {interval[1]:.3f}] ({interval[2]:.1%})"
                 label = cells["change"][batch[0]][0]
                 print(f"{name} batch {b} ({len(batch)} cells, {label}, ...): parent/change CPU time "
-                      f"{summary['median_ratio']:.3f} (median of {rounds}), change faster in "
+                      f"{summary['median_ratio']:.3f} (median of {rounds}), {spread}, change faster in "
                       f"{summary['change_wins']} of {rounds}, results equal: {equal}", flush=True)
                 status |= not equal
     return status

@@ -342,10 +342,12 @@ def load_problem_files(path) -> list[MtoProblem]:
 
 def _load_json(path: Path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise BenchmarkDataError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise BenchmarkDataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def problem_to_dict(problem: MtoProblem) -> dict:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Iterator, get_type_hints
+from typing import Iterator, get_args, get_type_hints
 
 import numpy as np
 
@@ -30,7 +30,6 @@ CONVERGENCE_HEADER = ["algorithm", "problem", "run", "generation", "task", "best
 TRANSFER_HEADER = ["algorithm", "problem", "run", "generation", "task", "source", "fraction"]
 SCORES_HEADER = ["problem", "algorithm", "score"]
 
-DEFAULT_MASTER_SEED = 986019042187420
 # Elements (K x C x N x D_u) of a batch's stacked positions, for C cells:
 # the knee of the measured time per cell and generation against C (in
 # CHANGES.md); beyond it the stacked arrays outgrow the caches and the
@@ -52,24 +51,31 @@ class WorkerCrashError(RuntimeError):
     """A pool worker process died before its cells returned."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentSpec:
-    name: str
-    suite: str
-    suite_seed: int
-    problem_ids: tuple[int, ...]
+    """The experiment fields a config may set and their defaults. Empty
+    ``problem_ids`` mean every problem of the suite, once it is loaded."""
+
+    name: str = "experiment"
+    suite: str = "suite1"
+    suite_seed: int = benchmarks.DEFAULT_SUITE_SEED
+    problem_ids: tuple[int, ...] = ()
     algorithms: tuple[tuple[str, RunConfig], ...]
-    runs: int
-    master_seed: int
-    output_dir: str
+    runs: int = 30
+    master_seed: int = 986019042187420
+    output_dir: str = "out"
     write_convergence: bool = True
     write_transfer: bool = True
 
     def __post_init__(self):
+        if self.suite_seed < 0:
+            raise ConfigError(f"field 'suite_seed': expected a non-negative integer, got {self.suite_seed}")
+        if len(set(self.problem_ids)) != len(self.problem_ids):
+            raise ConfigError(f"field 'problem_ids': ids must be unique, got {list(self.problem_ids)}")
+        if not self.name:
+            raise ConfigError("field 'name': expected a non-empty string")
         if self.runs < 1:
             raise ConfigError("'runs' must be >= 1")
-        # an empty problem_ids tuple (a config without the key) means "all
-        # problems in the suite", resolved when the suite is loaded
         if not self.algorithms:
             raise ConfigError("at least one algorithm is required")
         labels = [label for label, _ in self.algorithms]
@@ -92,59 +98,40 @@ class CellResult:
     source_counts: np.ndarray | None
 
 
-# the run parameters a config may set, in RunConfig's field order: the
-# algorithm comes from each entry and the seed from derive_seed
-_HINTS = get_type_hints(RunConfig)
-_RUNCONFIG_FIELDS = tuple(key for key in _HINTS if key not in ("algorithm", "seed"))
-_INT_FIELDS = {key for key in _RUNCONFIG_FIELDS if _HINTS[key] is int}
+# the experiment fields and the run parameters a config may set, the latter
+# in RunConfig's order: each entry gives the algorithm, derive_seed the seed
+_SPEC_HINTS = get_type_hints(ExperimentSpec)
+_RUN_HINTS = get_type_hints(RunConfig)
+_RUNCONFIG_FIELDS = tuple(key for key in _RUN_HINTS if key not in ("algorithm", "seed"))
+_EXPECTED = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
 
-def _check_number(key, value, integer=False):
-    if integer:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"field {key!r}: expected an integer, got {value!r}")
-    elif not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"field {key!r}: expected a number, got {value!r}")
+def _check(key, value, hint):
+    """``value`` if it has the type ``hint`` names: an int is not a bool, a
+    float field takes an int, and a field of float | None takes no null."""
+    kind = hint if hint in _EXPECTED else get_args(hint)[0]
+    types = (int, float) if kind is float else kind
+    if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"field {key!r}: expected {_EXPECTED[kind]}, got {value!r}")
     return value
 
 
-def parse_experiment(cfg: dict, name_default: str = "experiment") -> ExperimentSpec:
-    """Build a validated spec from a config dict (all fields optional except
-    the algorithm list; paper-default parameters fill the gaps)."""
+def parse_experiment(cfg: dict, name_default: str | None = None) -> ExperimentSpec:
+    """Build a validated spec from a config dict: every field is optional,
+    and ExperimentSpec's and RunConfig's defaults fill the gaps, the name
+    ``name_default`` where given. ``algorithms`` defaults to S1 and PSO,
+    and a suite id's ``problem_ids`` to 1..9."""
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    known = {
-        "name",
-        "suite",
-        "suite_seed",
-        "problem_ids",
-        "algorithms",
-        "runs",
-        "master_seed",
-        "output_dir",
-        "write_convergence",
-        "write_transfer",
-        "jobs",  # written by older manifests; the worker count is --jobs
-        *_RUNCONFIG_FIELDS,
-    }
-    for key in cfg:
-        if key not in known:
+    for key in cfg:  # older manifests write "jobs"; the worker count is --jobs
+        if key not in _SPEC_HINTS and key not in _RUNCONFIG_FIELDS and key != "jobs":
             raise ConfigError(f"unknown config field {key!r}")
-
-    suite = cfg.get("suite", "suite1")
-    if not isinstance(suite, str):
-        raise ConfigError("field 'suite': expected a suite id or problem-file path")
-    runs = _check_number("runs", cfg.get("runs", 30), integer=True)
-    _check_number("jobs", cfg.get("jobs", 1), integer=True)  # checked, then ignored
-    master_seed = _check_number("master_seed", cfg.get("master_seed", DEFAULT_MASTER_SEED), integer=True)
-    suite_seed = _check_number("suite_seed", cfg.get("suite_seed", benchmarks.DEFAULT_SUITE_SEED), integer=True)
-    if suite_seed < 0:
-        raise ConfigError(f"field 'suite_seed': expected a non-negative integer, got {suite_seed}")
-
-    shared = {}
-    for key in _RUNCONFIG_FIELDS:
-        if key in cfg:
-            shared[key] = _check_number(key, cfg[key], integer=key in _INT_FIELDS)
+    # the fields of one type; problem_ids and algorithms are read below
+    fields = {key: _check(key, cfg[key], hint) for key, hint in _SPEC_HINTS.items() if key in cfg and hint in _EXPECTED}
+    if name_default is not None:
+        fields.setdefault("name", name_default)
+    _check("jobs", cfg.get("jobs", 1), int)  # checked, then ignored
+    shared = {key: _check(key, cfg[key], _RUN_HINTS[key]) for key in _RUNCONFIG_FIELDS if key in cfg}
 
     algo_list = cfg.get("algorithms", [{"algorithm": "samtpso-s1"}, {"algorithm": "pso"}])
     if not isinstance(algo_list, list) or not algo_list:
@@ -167,7 +154,7 @@ def parse_experiment(cfg: dict, name_default: str = "experiment") -> ExperimentS
                 continue
             if key not in _RUNCONFIG_FIELDS:
                 raise ConfigError(f"algorithms[{i}]: unknown field {key!r}")
-            params[key] = _check_number(key, value, integer=key in _INT_FIELDS)
+            params[key] = _check(key, value, _RUN_HINTS[key])
         try:
             config = RunConfig(algorithm=algo, **params)
         except ValueError as exc:
@@ -175,49 +162,25 @@ def parse_experiment(cfg: dict, name_default: str = "experiment") -> ExperimentS
         algorithms.append((label, config))
 
     problem_ids = cfg.get("problem_ids")
-    if problem_ids is None:
-        problem_ids = list(range(1, 10)) if suite in benchmarks.SUITE_IDS else None
     if problem_ids is not None:
-        if not isinstance(problem_ids, list) or not all(
-            isinstance(p, int) and not isinstance(p, bool) for p in problem_ids
-        ):
+        if not isinstance(problem_ids, list) or any(isinstance(p, bool) or not isinstance(p, int) for p in problem_ids):
             raise ConfigError("field 'problem_ids': expected a list of integers")
         if not problem_ids:
             raise ConfigError("field 'problem_ids': expected at least one id (leave it out for every problem)")
-        if len(set(problem_ids)) != len(problem_ids):
-            raise ConfigError(f"field 'problem_ids': ids must be unique, got {problem_ids}")
-    flags = {key: cfg.get(key, True) for key in ("write_convergence", "write_transfer")}
-    for key, value in flags.items():
-        if not isinstance(value, bool):
-            raise ConfigError(f"field {key!r}: expected true or false, got {value!r}")
-
-    name = cfg.get("name", name_default)
-    if not isinstance(name, str) or not name:
-        raise ConfigError("field 'name': expected a non-empty string")
-    output_dir = cfg.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigError("field 'output_dir': expected a path string")
-
-    spec = ExperimentSpec(
-        name=name,
-        suite=suite,
-        suite_seed=suite_seed,
-        problem_ids=tuple(problem_ids) if problem_ids is not None else (),
-        algorithms=tuple(algorithms),
-        runs=runs,
-        master_seed=master_seed,
-        output_dir=output_dir,
-        **flags,
-    )
-    return spec
+        fields["problem_ids"] = tuple(problem_ids)
+    elif fields.get("suite", ExperimentSpec.suite) in benchmarks.SUITE_IDS:
+        fields["problem_ids"] = tuple(range(1, 10))
+    return ExperimentSpec(algorithms=tuple(algorithms), **fields)
 
 
 def load_config(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def resolve_problems(spec: ExperimentSpec) -> list[tuple[int, MtoProblem]]:
@@ -450,25 +413,12 @@ def _transfer_rows(fh, cell: CellResult) -> None:
 
 def spec_to_manifest(spec: ExperimentSpec) -> dict:
     """Fully resolved configuration; itself a valid config file."""
-    manifest = {
-        "name": spec.name,
-        "suite": spec.suite,
-        "suite_seed": spec.suite_seed,
-        "problem_ids": list(spec.problem_ids),
-        "runs": spec.runs,
-        "master_seed": spec.master_seed,
-        "output_dir": spec.output_dir,
-        "write_convergence": spec.write_convergence,
-        "write_transfer": spec.write_transfer,
-        "algorithms": [
-            {
-                "algorithm": config.algorithm,
-                "label": label,
-                **{key: getattr(config, key) for key in _RUNCONFIG_FIELDS},
-            }
-            for label, config in spec.algorithms
-        ],
-    }
+    manifest = {key: getattr(spec, key) for key in _SPEC_HINTS}
+    manifest["problem_ids"] = list(spec.problem_ids)
+    manifest["algorithms"] = [
+        {"algorithm": config.algorithm, "label": label, **{key: getattr(config, key) for key in _RUNCONFIG_FIELDS}}
+        for label, config in spec.algorithms
+    ]
     return manifest
 
 
@@ -531,30 +481,33 @@ def read_results_csv(path):
     repeated (algorithm, problem, task, run) is a ConfigError."""
     data: dict[str, dict[int, dict[tuple[int, int], float]]] = {}
     first_line: dict[tuple, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RESULTS_HEADER:
-            raise ConfigError(f"{path}: expected header {RESULTS_HEADER}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(RESULTS_HEADER):
-                raise ConfigError(f"{path}: line {lineno}: expected {len(RESULTS_HEADER)} fields")
-            try:
-                _, algorithm, problem, task, run_index, _, final_fev = row
-                key = (int(task), int(run_index))
-                value = float(final_fev)
-                pid = int(problem)
-            except ValueError as exc:
-                raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
-            if not math.isfinite(value):
-                raise ConfigError(f"{path}: line {lineno}: final_fev must be finite, got {final_fev!r}")
-            first = first_line.setdefault((algorithm, pid, key), lineno)
-            if first != lineno:
-                raise ConfigError(
-                    f"{path}: lines {first} and {lineno} both give algorithm {algorithm!r}, "
-                    f"problem {pid}, task {key[0]}, run {key[1]}"
-                )
-            data.setdefault(algorithm, {}).setdefault(pid, {})[key] = value
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != RESULTS_HEADER:
+                raise ConfigError(f"{path}: expected header {RESULTS_HEADER}, got {header}")
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(RESULTS_HEADER):
+                    raise ConfigError(f"{path}: line {lineno}: expected {len(RESULTS_HEADER)} fields")
+                try:
+                    _, algorithm, problem, task, run_index, _, final_fev = row
+                    key = (int(task), int(run_index))
+                    value = float(final_fev)
+                    pid = int(problem)
+                except ValueError as exc:
+                    raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
+                if not math.isfinite(value):
+                    raise ConfigError(f"{path}: line {lineno}: final_fev must be finite, got {final_fev!r}")
+                first = first_line.setdefault((algorithm, pid, key), lineno)
+                if first != lineno:
+                    raise ConfigError(
+                        f"{path}: lines {first} and {lineno} both give algorithm {algorithm!r}, "
+                        f"problem {pid}, task {key[0]}, run {key[1]}"
+                    )
+                data.setdefault(algorithm, {}).setdefault(pid, {})[key] = value
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not data:
         raise ConfigError(f"{path}: no result rows")
     return data

@@ -67,7 +67,7 @@ class SwarmState:
     select_rngs: list[np.random.Generator]
     vel_rngs: list[np.random.Generator]
     picks: np.ndarray  # (K·C, N) roulette draws
-    draws: np.ndarray  # (K·C, N, D_u): one velocity term's r
+    draws: np.ndarray  # (K·C, N, D_u): one velocity term's r, then the rotated rows
     term: np.ndarray  # (K·C, N, D_u): one velocity term, then the decode
     plan: _Plan
     generation: int = 1
@@ -153,7 +153,6 @@ class _Group:
     base_fn: str
     at: slice  # the group's rows in the plan's order
     rotations: np.ndarray  # (rows, d, d): each row's task.rotation.T
-    frame: np.ndarray  # (rows, N, d): the rotated rows
 
 
 @dataclass
@@ -169,11 +168,9 @@ class _Plan:
     groups: list[_Group]
 
 
-def _evaluation_plan(problems: tuple, n_s: int) -> _Plan:
+def _evaluation_plan(problems: tuple) -> _Plan:
     """Group the swarm rows, row t·C + c for cell c's task t, by (base
-    function, task dimension), in order of first appearance. Each group
-    keeps a frame buffer: a fresh product each generation faults pages
-    once it outgrows malloc's mmap threshold (ten suite-1 cells: 200 KB)."""
+    function, task dimension), in order of first appearance."""
     cells = len(problems)
     members: dict = {}
     for t in range(problems[0].num_tasks):
@@ -188,23 +185,27 @@ def _evaluation_plan(problems: tuple, n_s: int) -> _Plan:
         shift[i, 0, : task.dim] = task.shift
     plan = _Plan(np.array([row for row, _ in ordered]), lower, width, shift, [])
     at = 0
-    for (fn, d), group in members.items():
+    for (fn, _), group in members.items():
         # a transposed stack of the C-ordered rotations: each slice is laid
         # out as task.rotation.T, and a contiguous copy changes the bits
         rotations = np.stack([task.rotation for _, task in group]).transpose(0, 2, 1)
         span = slice(at, at + len(group))
-        plan.groups.append(_Group(fn, span, rotations, np.empty((len(group), n_s, d))))
+        plan.groups.append(_Group(fn, span, rotations))
         at += len(group)
     return plan
 
 
-def _evaluate(plan: _Plan, problems: tuple, positions: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _evaluate(
+    plan: _Plan, problems: tuple, positions: np.ndarray, scratch: np.ndarray, frames: np.ndarray
+) -> np.ndarray:
     """Fitness of the stacked positions: one decode pass over the whole
     swarm, gathered in the plan's order into ``scratch`` (lower + x·width,
     then − shift: the operations of :func:`core.evaluate_task`, in its
     order), then per group one stacked ``matmul`` call, which makes one
     (N, d) × (d, d) product per row, the product a cell run alone makes,
-    and one ``task_eval`` call. A NaN or infinite value is an error."""
+    into the front of ``frames``, a free buffer of the swarm's size (a
+    fresh product faults pages past malloc's mmap threshold), and one
+    ``task_eval`` call. A NaN or infinite value is an error."""
     rows, n_s, d_u = positions.shape
     np.take(positions, plan.order, axis=0, out=scratch, mode="clip")
     scratch *= plan.width
@@ -212,9 +213,10 @@ def _evaluate(plan: _Plan, problems: tuple, positions: np.ndarray, scratch: np.n
     scratch -= plan.shift
     fit = np.empty((rows, n_s))
     for group in plan.groups:
-        d = group.frame.shape[-1]
-        np.matmul(scratch[group.at, :, :d], group.rotations, out=group.frame)
-        fit[plan.order[group.at]] = benchmarks.task_eval(group.base_fn, group.frame.reshape(-1, d)).reshape(-1, n_s)
+        d = group.rotations.shape[-1]
+        frame = frames.reshape(-1)[: len(group.rotations) * n_s * d].reshape(-1, n_s, d)
+        np.matmul(scratch[group.at, :, :d], group.rotations, out=frame)
+        fit[plan.order[group.at]] = benchmarks.task_eval(group.base_fn, frame.reshape(-1, d)).reshape(-1, n_s)
     if not np.isfinite(fit).all():
         t, c = divmod(int(np.flatnonzero(~np.isfinite(fit))[0]) // n_s, len(problems))
         raise NonFiniteFitnessError(
@@ -255,8 +257,8 @@ def init_swarm(problems: Sequence[MtoProblem], configs: Sequence[RunConfig]) -> 
             select_rngs[row] = np.random.default_rng(select_ss)
             vel_rngs[row] = np.random.default_rng(vel_ss)
     draws, term = np.empty((2, rows, n_s, d_u))
-    plan = _evaluation_plan(problems, n_s)
-    fit = _evaluate(plan, problems, positions, term)
+    plan = _evaluation_plan(problems)
+    fit = _evaluate(plan, problems, positions, term, draws)
     best = np.argmin(fit, axis=1)
     transfer = np.tile([c.algorithm not in NO_TRANSFER for c in configs], k)
     return SwarmState(
@@ -343,7 +345,7 @@ def evaluate_and_update(state: SwarmState) -> np.ndarray | None:
     """Evaluate every moved particle on its own task and refresh pbest/gbest
     (strict improvement only); if any row transfers, commit the outcomes per
     chosen source to the window and return the (K·C, K) choice counts."""
-    fitness = _evaluate(state.plan, state.problems, state.positions, state.term)
+    fitness = _evaluate(state.plan, state.problems, state.positions, state.term, state.draws)
     improved = fitness < state.pbest_fit
     np.copyto(state.pbest_pos, state.positions, where=improved[..., None])
     np.copyto(state.pbest_fit, fitness, where=improved)

@@ -63,6 +63,22 @@ def test_pair_summary_of_paired_times():
     assert bench_pairs.pair_summary([1.0], [1.25])["median_ratio"] == 0.8
 
 
+def test_median_interval_of_made_up_ratios():
+    """The order statistics k and n + 1 - k of the sorted values, for the
+    largest k whose two tails hold at most 5 % of the sign test's mass."""
+    ratios = [1.04, 0.97, 1.10, 1.01, 0.99, 1.06, 1.02, 0.95, 1.08, 1.00]
+    lo, hi, coverage = bench_pairs.median_interval(ratios)
+    assert (lo, hi) == (0.97, 1.08)  # r_(2) and r_(9)
+    assert coverage == pytest.approx(1 - 2 * 11 / 1024)  # 97.9 %
+    # six values: k = 1, the extremes, at 1 - 2/64
+    assert bench_pairs.median_interval([3.0, 1.0, 2.0, 6.0, 5.0, 4.0]) == (1.0, 6.0, 1 - 2 / 64)
+    # 20 values: k = 6, since 2 * sum_{i<6} C(20, i) / 2^20 = 0.041 and k = 7 gives 0.115
+    assert bench_pairs.median_interval([float(v) for v in range(20, 0, -1)])[:2] == (6.0, 15.0)
+    # below six no k covers 95 %
+    assert bench_pairs.median_interval([1.0, 2.0, 3.0, 4.0, 5.0]) is None
+    assert bench_pairs.median_interval([]) is None
+
+
 def test_load_package_imports_a_tree_under_another_name():
     """A tree's package imported under a second name keeps its own modules,
     apart from the ones imported as ``mtpso``."""

@@ -125,7 +125,6 @@ class TestParseExperiment:
         assert harness._RUNCONFIG_FIELDS == (
             "pop_per_task", "lp", "bp", "eps", "w_start", "w_end", "c1", "c2", "c3", "max_gens",
         )
-        assert harness._INT_FIELDS == {"pop_per_task", "lp", "max_gens"}
         with pytest.raises(ConfigError, match="'lp'"):
             parse_experiment({"max_gens": 2.5, "bp": "x", "lp": 2.5})
 
@@ -568,6 +567,67 @@ class TestRunExperiment:
         assert respec.problem_ids == (1, 2)
         assert respec == replace(spec, problem_ids=(1, 2))
 
+    # a suite config with a label, per-algorithm overrides and one write
+    # flag off, and its manifest's text, recorded before the manifest read
+    # ExperimentSpec's type hints
+    PINNED_CONFIG = {
+        "name": "pinned", "suite": "suite2", "suite_seed": 7, "problem_ids": [3, 1], "runs": 4, "master_seed": 42,
+        "output_dir": "results/pinned", "write_transfer": False, "max_gens": 300, "bp": 0.005,
+        "algorithms": [{"algorithm": "samtpso-s1", "label": "s1-lp5", "lp": 5, "c3": 0.5},
+                       {"algorithm": "pso", "eps": 0.01}],
+    }
+    PINNED_MANIFEST = """\
+{
+  "algorithms": [
+    {
+      "algorithm": "samtpso-s1",
+      "bp": 0.005,
+      "c1": 1.1,
+      "c2": 1.1,
+      "c3": 0.5,
+      "eps": 0.001,
+      "label": "s1-lp5",
+      "lp": 5,
+      "max_gens": 300,
+      "pop_per_task": 50,
+      "w_end": 0.4,
+      "w_start": 0.9
+    },
+    {
+      "algorithm": "pso",
+      "bp": 0.005,
+      "c1": 1.494,
+      "c2": 1.494,
+      "c3": 0.0,
+      "eps": 0.01,
+      "label": "pso",
+      "lp": 10,
+      "max_gens": 300,
+      "pop_per_task": 50,
+      "w_end": 0.4,
+      "w_start": 0.9
+    }
+  ],
+  "master_seed": 42,
+  "name": "pinned",
+  "output_dir": "results/pinned",
+  "problem_ids": [
+    3,
+    1
+  ],
+  "runs": 4,
+  "suite": "suite2",
+  "suite_seed": 7,
+  "write_convergence": true,
+  "write_transfer": false
+}
+"""
+
+    def test_manifest_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        harness.write_manifest(path, parse_experiment(self.PINNED_CONFIG))
+        assert path.read_text() == self.PINNED_MANIFEST
+
     def test_rerun_from_manifest_byte_identical(self, tiny_problems, tmp_path):
         spec = parse_experiment(tiny_config(tiny_problems, tmp_path / "a"))
         out_a = run_experiment(spec)
@@ -805,6 +865,11 @@ class TestCli:
         cfg_path.write_text(json.dumps({"runs": -3}))
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
         assert "error:" in capsys.readouterr().err
+        # a file that is not UTF-8 text, as a config and as results
+        cfg_path.write_bytes(b'{"runs": 1, "name": "\xff\xfe"}')
+        for command in (["run", "--config", str(cfg_path)], ["score", str(cfg_path)]):
+            assert cli.main(command) == 2, command
+            assert capsys.readouterr().err.startswith(f"error: {cfg_path}: not UTF-8 text"), command
 
     def test_negative_suite_seed_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
@@ -972,6 +1037,14 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {path}: {expected}"), err
             assert not (tmp_path / "out").exists()
+        # a task-file directory whose file is not UTF-8 text
+        (tmp_path / "tasks").mkdir()
+        path = tmp_path / "tasks" / "p1.json"
+        path.write_bytes(b"\xff" + self.set_fields(1).encode())
+        cfg_path.write_text(json.dumps(tiny_config(str(tmp_path / "tasks"), tmp_path / "out")))
+        assert cli.main([command[0], "--config", str(cfg_path), *command[1:], "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_fitness_in_a_finite_box_exits_2(self, tmp_path, capsys):
         """Sphere on +-1e200 squares coordinates past the largest double;

@@ -626,9 +626,9 @@ class TestEvaluate:
         second = MtoProblem(tasks=(make_task("ackley", d_u, 3), make_task("weierstrass", 7, 4)))
         problems = (first, first, second)
         positions = np.random.default_rng(8).random((2 * len(problems), n, d_u))
-        plan = _evaluation_plan(problems, n)
+        plan = _evaluation_plan(problems)
         assert [plan.order[group.at].tolist() for group in plan.groups] == [[0, 1, 2], [3, 4], [5]]
-        fit = _evaluate(plan, problems, positions, np.empty_like(positions))
+        fit = _evaluate(plan, problems, positions, np.empty_like(positions), np.empty_like(positions))
         for t in range(2):
             for c, problem in enumerate(problems):
                 row = t * len(problems) + c
