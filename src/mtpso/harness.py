@@ -84,18 +84,11 @@ class ExperimentSpec:
 
 
 @dataclass
-class CellResult:
-    """Summary of one run of the grid."""
+class CellResult(RunResult):
+    """One run of the grid, whose ``algorithm`` is the grid's label."""
 
-    algorithm: str
     problem_id: int
     run_index: int  # 1-based
-    seed: int
-    num_tasks: int
-    pop_per_task: int
-    final_fevs: np.ndarray
-    trace: np.ndarray | None
-    source_counts: np.ndarray | None
 
 
 # the experiment fields and the run parameters a config may set, the latter
@@ -205,18 +198,8 @@ def derive_seed(master_seed: int, algorithm: str, problem_id: int, run_index: in
 
 
 def _cell_result(cell, result: RunResult) -> CellResult:
-    label, config, problem, problem_id, run_index, *_ = cell
-    return CellResult(
-        algorithm=label,
-        problem_id=problem_id,
-        run_index=run_index,
-        seed=config.seed,
-        num_tasks=problem.num_tasks,
-        pop_per_task=config.pop_per_task,
-        final_fevs=result.best_fevs,
-        trace=result.fev_trace,
-        source_counts=result.source_counts,
-    )
+    label, _, _, problem_id, run_index, *_ = cell
+    return CellResult(**{**vars(result), "algorithm": label}, problem_id=problem_id, run_index=run_index)
 
 
 def _run_cell(cell) -> CellResult:
@@ -346,9 +329,9 @@ def execute(
     problems: list[tuple[int, MtoProblem]] | None = None,
 ) -> list[CellResult]:
     """Run the whole grid; cells come back ordered by (algorithm, problem,
-    run) regardless of worker count or batching, each with its trace only
-    under the spec's ``write_convergence`` and its source counts only under
-    ``write_transfer`` (a run records nothing else). ``problems`` is the
+    run) regardless of worker count or batching, each with its
+    ``fev_trace`` only under the spec's ``write_convergence`` and its
+    ``source_counts`` only under ``write_transfer``. ``problems`` is the
     spec's resolved problem list, loaded here when not given. ``jobs``
     below 1 is a ConfigError; a grid of fewer batches than ``jobs`` starts
     one worker per batch, and a grid of one batch runs in this process."""
@@ -369,18 +352,8 @@ def _writer(fh):
 
 def _results_rows(experiment_name: str, fh, cell: CellResult) -> None:
     out = _writer(fh)
-    for task in range(cell.num_tasks):
-        out.writerow(
-            [
-                experiment_name,
-                cell.algorithm,
-                cell.problem_id,
-                task + 1,
-                cell.run_index,
-                cell.seed,
-                repr(float(cell.final_fevs[task])),
-            ]
-        )
+    for task, fev in enumerate(cell.best_fevs.tolist(), start=1):
+        out.writerow([experiment_name, cell.algorithm, cell.problem_id, task, cell.run_index, cell.seed, repr(fev)])
 
 
 def _cell_prefix(cell: CellResult) -> str:
@@ -394,7 +367,7 @@ def _cell_prefix(cell: CellResult) -> str:
 
 def _convergence_rows(fh, cell: CellResult) -> None:
     prefix = _cell_prefix(cell)
-    for g, row in enumerate(cell.trace, start=1):
+    for g, row in enumerate(cell.fev_trace, start=1):
         fh.write("".join(f"{prefix}{g},{task},{v!r}\n" for task, v in enumerate(row.tolist(), start=1)))
 
 
@@ -405,7 +378,7 @@ def _transfer_rows(fh, cell: CellResult) -> None:
     n = cell.pop_per_task
     fractions = [repr(i / n) for i in range(n + 1)]
     prefix = _cell_prefix(cell)
-    k = cell.num_tasks
+    k = len(cell.best_fevs)
     pairs = [f"{task + 1},{source + 1}," for task in range(k) for source in range(k)]
     for g, row in enumerate(cell.source_counts.reshape(-1, k * k), start=2):
         fh.write("".join(f"{prefix}{g},{pair}{fractions[c]}\n" for pair, c in zip(pairs, row.tolist())))
@@ -423,7 +396,7 @@ def spec_to_manifest(spec: ExperimentSpec) -> dict:
 
 
 def write_manifest(path, spec: ExperimentSpec) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(spec_to_manifest(spec), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -458,7 +431,7 @@ def run_experiment(
     with contextlib.ExitStack() as stack:
         files = []
         for name, header, rows in outputs:
-            fh = stack.enter_context(open(out_dir / name, "w", newline=""))
+            fh = stack.enter_context(open(out_dir / name, "w", newline="", encoding="utf-8"))
             _writer(fh).writerow(header)
             files.append((fh, rows))
         # closed on the way out, so that a failed write stops the pool too
@@ -556,7 +529,7 @@ def tabulate_fevs(data: dict) -> tuple[list[str], list[int], dict[int, np.ndarra
 
 
 def write_scores_csv(path, algorithms, problems, per_problem, mean_scores) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         out = _writer(fh)
         out.writerow(SCORES_HEADER)
         for pid in problems:

@@ -35,7 +35,7 @@ def fev_table(cells, labels, pid):
             (c for c in cells if c.algorithm == label and c.problem_id == pid),
             key=lambda c: c.run_index,
         )
-        out.append(np.stack([c.final_fevs for c in sel], axis=1))  # (K, L)
+        out.append(np.stack([c.best_fevs for c in sel], axis=1))  # (K, L)
     return np.stack(out)
 
 

@@ -215,8 +215,11 @@ class TestExecute:
         for cell in cells:
             if cell.algorithm == "pso":
                 assert cell.source_counts is None
+                with pytest.raises(ValueError):
+                    metrics.transfer_rates(cell)
             else:
                 assert cell.source_counts.shape == (11, 2, 2)
+                np.testing.assert_allclose(metrics.transfer_rates(cell).sum(axis=1), 1.0)
 
     def test_keeps_what_the_write_flags_say(self, tiny_problems, tmp_path):
         """A cell holds its trace exactly when ``write_convergence`` is set
@@ -230,17 +233,17 @@ class TestExecute:
                 for jobs in (1, 2):
                     got = cells[convergence, transfer, jobs] = execute(parse_experiment(cfg), jobs=jobs)
                     for cell in got:
-                        assert (cell.trace is not None) == convergence
+                        assert (cell.fev_trace is not None) == convergence
                         has_counts = transfer and cell.algorithm != "pso"
                         assert (cell.source_counts is not None) == has_counts
                         if convergence:
-                            assert cell.trace.shape == (12, 2)
+                            assert cell.fev_trace.shape == (12, 2)
                         if has_counts:
                             assert cell.source_counts.shape == (11, 2, 2)
         assert not (tmp_path / "out").exists()
         written = {}
         for (convergence, transfer, jobs), got in cells.items():
-            assert [c.final_fevs.tolist() for c in got] == [c.final_fevs.tolist() for c in cells[True, True, 1]]
+            assert [c.best_fevs.tolist() for c in got] == [c.best_fevs.tolist() for c in cells[True, True, 1]]
             cfg = tiny_config(
                 tiny_problems, tmp_path / f"out-{convergence}-{transfer}-{jobs}",
                 write_convergence=convergence, write_transfer=transfer,
@@ -368,7 +371,7 @@ class TestBatches:
         problems = resolve_problems(spec)
         one, two = (execute(spec, jobs=jobs, problems=problems) for jobs in (1, 2))
         for a, b in zip(one, two, strict=True):
-            assert np.array_equal(a.final_fevs, b.final_fevs)
+            assert np.array_equal(a.best_fevs, b.best_fevs)
 
     def test_batched_cells_equal_cells_run_alone(self, tiny_problems, tmp_path):
         spec = parse_experiment(self.lp_sweep_config(tiny_problems, tmp_path / "out"))
@@ -377,8 +380,10 @@ class TestBatches:
         for cell in execute(spec, jobs=1):
             seed = derive_seed(spec.master_seed, cell.algorithm, cell.problem_id, cell.run_index)
             alone = run(problems[cell.problem_id], replace(configs[cell.algorithm], seed=seed))
-            assert np.array_equal(cell.trace, alone.fev_trace)
+            assert np.array_equal(cell.fev_trace, alone.fev_trace)
             assert np.array_equal(cell.source_counts, alone.source_counts)
+            assert np.array_equal(cell.best_fevs, alone.best_fevs)
+            assert np.array_equal(cell.best_positions, alone.best_positions)
 
 
 class TestWorkerCrash:
@@ -506,7 +511,10 @@ class TestTransferCsv:
         traces = rng.random((4, 4, 3)) * 10.0 ** rng.integers(-300, 300, (4, 4, 3))
         traces[0, 0] = [0.0, np.inf, 1e-5]
         cells = [
-            harness.CellResult(label, 3, 2, 0, 3, 7, np.zeros(3), trace, rng.integers(0, 8, (4, 3, 3)))
+            harness.CellResult(
+                algorithm=label, seed=0, pop_per_task=7, fev_trace=trace, source_counts=rng.integers(0, 8, (4, 3, 3)),
+                best_positions=np.zeros((3, 1)), best_fevs=np.zeros(3), problem_id=3, run_index=2,
+            )
             for label, trace in zip(("plain", "a,b", 'say "hi"', ""), traces)
         ]
 
@@ -538,7 +546,7 @@ class TestTransferCsv:
             for cell in cells:
                 for g in range(4):
                     for task in range(3):
-                        out.writerow([cell.algorithm, 3, 2, g + 1, task + 1, repr(float(cell.trace[g, task]))])
+                        out.writerow([cell.algorithm, 3, 2, g + 1, task + 1, repr(float(cell.fev_trace[g, task]))])
         assert path.read_bytes() == expected.read_bytes()
 
 
@@ -703,7 +711,7 @@ class TestMemory:
         _, short = cell(5)
         peak, long = cell(10**6)
         assert peak < 2**20
-        for field in ("final_fevs", "trace", "source_counts"):
+        for field in ("best_fevs", "fev_trace", "source_counts"):
             np.testing.assert_array_equal(getattr(long, field), getattr(short, field))
 
     # (jobs, runs, cells of slack): a two-worker pool can finish a batch or
@@ -831,6 +839,22 @@ class TestCli:
         rc = cli.main(["run", "--config", str(cfg_path), "--quiet"])
         assert rc == 0
         assert (tmp_path / "out" / "results.csv").exists()
+
+    def test_files_are_utf8_under_an_ascii_locale(self, tiny_problems, tmp_path):
+        """A label outside ASCII is written and read back as UTF-8 whatever
+        the locale's encoding is."""
+        cfg = tiny_config(tiny_problems, tmp_path / "out", runs=1, max_gens=2,
+                          algorithms=[{"algorithm": "samtpso-s2", "label": "s2é"}, "pso"])
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg, ensure_ascii=False), encoding="utf-8")
+        src = Path(harness.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+               "PYTHONIOENCODING": "utf-8"}
+        results = tmp_path / "out" / "results.csv"
+        for command in (["run", "--config", str(cfg_path), "--quiet"], ["score", str(results)]):
+            done = subprocess.run([sys.executable, "-m", "mtpso.cli", *command], env=env, capture_output=True)
+            assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+        assert "s2é" in (tmp_path / "out" / "scores.csv").read_text(encoding="utf-8")
 
     def test_progress_line_has_rate_and_eta(self, tiny_problems, tmp_path, capsys, monkeypatch):
         cfg_path = tmp_path / "config.json"
