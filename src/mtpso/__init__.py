@@ -7,7 +7,6 @@ from .core import (
     RunConfig,
     TaskDef,
     decode,
-    encode,
     evaluate_task,
 )
 from .benchmarks import build_suite, make_task
@@ -36,7 +35,6 @@ __all__ = [
     "choose_sources",
     "decode",
     "derive_seed",
-    "encode",
     "evaluate_task",
     "execute",
     "focus_flags",

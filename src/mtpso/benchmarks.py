@@ -201,32 +201,33 @@ def make_task(name: str, dim: int, seed) -> TaskDef:
 
 COMPLETE, PARTIAL, NONE = "complete", "partial", "none"
 
-# (task functions, intersection degree, per-task dims)
-SUITE1_ROWS = (
-    (("griewank", "rastrigin"), COMPLETE, (50, 50)),
-    (("ackley", "rastrigin"), COMPLETE, (50, 50)),
-    (("ackley", "schwefel"), COMPLETE, (50, 50)),
-    (("rastrigin", "sphere"), PARTIAL, (50, 50)),
-    (("ackley", "rosenbrock"), PARTIAL, (50, 50)),
-    (("ackley", "weierstrass"), PARTIAL, (50, 25)),
-    (("rosenbrock", "rastrigin"), NONE, (50, 50)),
-    (("griewank", "weierstrass"), NONE, (50, 50)),
-    (("rastrigin", "weierstrass"), NONE, (50, 50)),
-)
+# Each suite's rows: (task functions, intersection degree, per-task dims)
+SUITES = {
+    "suite1": (
+        (("griewank", "rastrigin"), COMPLETE, (50, 50)),
+        (("ackley", "rastrigin"), COMPLETE, (50, 50)),
+        (("ackley", "schwefel"), COMPLETE, (50, 50)),
+        (("rastrigin", "sphere"), PARTIAL, (50, 50)),
+        (("ackley", "rosenbrock"), PARTIAL, (50, 50)),
+        (("ackley", "weierstrass"), PARTIAL, (50, 25)),
+        (("rosenbrock", "rastrigin"), NONE, (50, 50)),
+        (("griewank", "weierstrass"), NONE, (50, 50)),
+        (("rastrigin", "weierstrass"), NONE, (50, 50)),
+    ),
+    "suite2": (
+        (("sphere",) * 5, NONE, (50,) * 5),
+        (("rosenbrock",) * 5, NONE, (50,) * 5),
+        (("rastrigin",) * 5, NONE, (50,) * 5),
+        (("sphere", "rosenbrock", "rastrigin", "sphere", "rosenbrock"), NONE, (50,) * 5),
+        (("rastrigin", "griewank", "weierstrass", "rastrigin", "griewank"), NONE, (50,) * 5),
+        (("rosenbrock", "griewank", "schwefel", "rosenbrock", "griewank"), NONE, (50,) * 5),
+        (("ackley", "rastrigin", "weierstrass", "ackley", "rastrigin"), NONE, (50,) * 5),
+        (("rosenbrock", "ackley", "rastrigin", "griewank", "weierstrass"), NONE, (50,) * 5),
+        (("ackley", "rastrigin", "griewank", "weierstrass", "schwefel"), NONE, (50,) * 5),
+    ),
+}
 
-SUITE2_ROWS = (
-    ("sphere",) * 5,
-    ("rosenbrock",) * 5,
-    ("rastrigin",) * 5,
-    ("sphere", "rosenbrock", "rastrigin", "sphere", "rosenbrock"),
-    ("rastrigin", "griewank", "weierstrass", "rastrigin", "griewank"),
-    ("rosenbrock", "griewank", "schwefel", "rosenbrock", "griewank"),
-    ("ackley", "rastrigin", "weierstrass", "ackley", "rastrigin"),
-    ("rosenbrock", "ackley", "rastrigin", "griewank", "weierstrass"),
-    ("ackley", "rastrigin", "griewank", "weierstrass", "schwefel"),
-)
-
-SUITE_IDS = ("suite1", "suite2")
+SUITE_IDS = tuple(SUITES)
 DEFAULT_SUITE_SEED = 2021
 
 
@@ -251,20 +252,14 @@ def _build_problem(fns, dims, intersection, prob_ss: np.random.SeedSequence) -> 
 
 def build_suite(suite_id: str, seed: int = DEFAULT_SUITE_SEED) -> tuple[MtoProblem, ...]:
     """Generate the nine problems of a suite from ``seed``, in the order of
-    its rows (SUITE1_ROWS or SUITE2_ROWS); task-data files are read with
+    its rows in SUITES; task-data files are read with
     :func:`load_problem_files`."""
-    if suite_id not in SUITE_IDS:
+    if suite_id not in SUITES:
         raise ValueError(f"unknown suite {suite_id!r}; expected one of {SUITE_IDS}")
-    master = np.random.SeedSequence(seed)
-    prob_seeds = master.spawn(9)
-    problems = []
-    if suite_id == "suite1":
-        for (fns, inter, dims), ss in zip(SUITE1_ROWS, prob_seeds):
-            problems.append(_build_problem(fns, dims, inter, ss))
-    else:
-        for fns, ss in zip(SUITE2_ROWS, prob_seeds):
-            problems.append(_build_problem(fns, (50,) * 5, NONE, ss))
-    return tuple(problems)
+    return tuple(
+        _build_problem(fns, dims, inter, ss)
+        for (fns, inter, dims), ss in zip(SUITES[suite_id], np.random.SeedSequence(seed).spawn(9))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -26,18 +26,10 @@ from .benchmarks import BenchmarkDataError
 from .harness import ConfigError, ExperimentSpec
 from .optimizer import NonFiniteFitnessError
 
-SEED_ENV_VAR = "MTPSO_SEED"
-
 
 def _load_spec(config_path: str, out_override: str | None) -> ExperimentSpec:
     cfg = harness.load_config(config_path)
     spec = harness.parse_experiment(cfg, name_default=Path(config_path).stem)
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            spec = replace(spec, master_seed=int(env_seed))
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}")
     if out_override is not None:
         spec = replace(spec, output_dir=out_override)
     return spec

@@ -1,4 +1,4 @@
-"""Shared domain types and the unified-space encoding.
+"""Shared domain types and the unified-space decoding.
 
 All tasks are optimized in one normalized search space [0, 1]^D_u, where
 D_u is the largest task dimensionality in the problem. A task of dimension
@@ -17,13 +17,17 @@ ORTHOGONALITY_TOL = 1e-9
 
 ALGORITHMS = ("samtpso-s1", "samtpso-s2", "pso")
 
-# Default acceleration coefficients (c1, c2, c3) per algorithm. The
-# four-term transfer rule gets three equal coefficients; the three-term
-# rule and the plain baseline get the classic constricted pair.
+# Algorithms that step by another's rule with transfer switched off: the
+# PSO baseline is S2 whose rows stay in focus search, so that they always
+# pick their own task and the source best is their own swarm best.
+NO_TRANSFER = {"pso": "samtpso-s2"}
+
+# Default acceleration coefficients (c1, c2, c3) per rule. The four-term
+# transfer rule gets three equal coefficients; the three-term rule, and so
+# the plain baseline, gets the classic constricted pair.
 DEFAULT_COEFFS = {
     "samtpso-s1": (1.1, 1.1, 1.1),
     "samtpso-s2": (1.494, 1.494, 0.0),
-    "pso": (1.494, 1.494, 0.0),
 }
 
 
@@ -105,8 +109,8 @@ class MtoProblem:
 class RunConfig:
     """Parameters of a single optimizer run.
 
-    ``c1``/``c2``/``c3`` default per algorithm (see DEFAULT_COEFFS) when
-    left as None.
+    ``c1``/``c2``/``c3`` default to those of the rule the algorithm steps
+    by (see DEFAULT_COEFFS and NO_TRANSFER) when left as None.
     """
 
     algorithm: str = "samtpso-s1"
@@ -127,7 +131,7 @@ class RunConfig:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}"
             )
-        defaults = DEFAULT_COEFFS[self.algorithm]
+        defaults = DEFAULT_COEFFS[NO_TRANSFER.get(self.algorithm, self.algorithm)]
         for i, name in enumerate(("c1", "c2", "c3")):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, defaults[i])
@@ -162,20 +166,6 @@ def decode(x_unified: np.ndarray, task: TaskDef) -> np.ndarray:
         )
     head = x[..., : task.dim]
     return task.lower + head * (task.upper - task.lower)
-
-
-def encode(z_native: np.ndarray, task: TaskDef, unified_dim: int | None = None) -> np.ndarray:
-    """Inverse of :func:`decode`; pads components beyond task.dim with 0.5."""
-    z = np.asarray(z_native, dtype=float)
-    if z.shape[-1] != task.dim:
-        raise DimensionMismatchError(
-            f"native vector has {z.shape[-1]} components, task has {task.dim}"
-        )
-    u = (z - task.lower) / (task.upper - task.lower)
-    if unified_dim is None or unified_dim == task.dim:
-        return u
-    pad_shape = z.shape[:-1] + (unified_dim - task.dim,)
-    return np.concatenate([u, np.full(pad_shape, 0.5)], axis=-1)
 
 
 def evaluate_task(x_unified: np.ndarray, task: TaskDef) -> float | np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import adaptation, benchmarks
 from .adaptation import MemoryWindow
-from .core import MtoProblem, RunConfig
+from .core import NO_TRANSFER, MtoProblem, RunConfig
 
 
 class NonFiniteFitnessError(FloatingPointError):
@@ -128,12 +128,6 @@ def _bounce(x, v) -> bool:
     flat_v = v.reshape(-1)
     flat_v[out] = -BOUNCE_DAMPING * flat_v[out]
     return True
-
-
-# Algorithms that step by another's rule with transfer switched off: the
-# PSO baseline is S2 whose rows stay in focus search, so that they always
-# pick their own task and the source best is their own swarm best.
-NO_TRANSFER = {"pso": "samtpso-s2"}
 
 
 def batch_key(problem: MtoProblem, config: RunConfig) -> tuple[int, int, RunConfig]:
@@ -328,15 +322,13 @@ def _move_swarm(state: SwarmState, w: float) -> None:
 
     v *= w
     _add_term(state, np.subtract(state.pbest_pos, x, out=term), config.c1)
+    coeff = config.c2
     if config.algorithm == "samtpso-s1":
         _add_term(state, np.subtract(state.gbest_pos[:, None, :], x, out=term), config.c2)
         own = adaptation.row_tasks(len(x), state.probs.shape[1])[:, None]
-        c3 = np.where(state.last_source == own, 0.0, config.c3)[..., None]
-        np.take(state.gbest_pos, src, axis=0, out=term, mode="clip")
-        _add_term(state, np.subtract(term, x, out=term), c3)
-    else:
-        np.take(state.gbest_pos, src, axis=0, out=term, mode="clip")
-        _add_term(state, np.subtract(term, x, out=term), config.c2)
+        coeff = np.where(state.last_source == own, 0.0, config.c3)[..., None]
+    np.take(state.gbest_pos, src, axis=0, out=term, mode="clip")
+    _add_term(state, np.subtract(term, x, out=term), coeff)
     x += v
     _bounce(x, v)
 

@@ -15,7 +15,8 @@ from mtpso.benchmarks import (
     random_rotation,
     task_eval,
 )
-from mtpso.core import MtoProblem, encode, evaluate_task
+from mtpso.core import MtoProblem, evaluate_task
+from test_core import to_unified
 
 
 class TestBaseFunctions:
@@ -207,7 +208,7 @@ class TestMakeTask:
     def test_optimum_value_zero_and_attained(self):
         for name in ("sphere", "rosenbrock", "schwefel", "weierstrass"):
             task = make_task(name, 8, 13)
-            u = encode(task.shift, task)
+            u = to_unified(task.shift, task)
             assert evaluate_task(u, task) == pytest.approx(0.0, abs=1e-10)
 
     def test_random_points_nonnegative(self):
@@ -262,8 +263,8 @@ class TestSuite1:
         suite = build_suite("suite1")
         for idx in (0, 1, 2):
             t1, t2 = suite[idx].tasks
-            u1 = encode(t1.shift, t1)
-            u2 = encode(t2.shift, t2)
+            u1 = to_unified(t1.shift, t1)
+            u2 = to_unified(t2.shift, t2)
             assert np.allclose(u1, u2, atol=1e-12)
             # both tasks are optimal at the shared unified point
             assert evaluate_task(u1, t1) == pytest.approx(0.0, abs=1e-10)
@@ -274,8 +275,8 @@ class TestSuite1:
         for idx in (3, 4, 5):
             t1, t2 = suite[idx].tasks
             shared = -(-suite[idx].unified_dim // 2)  # ceil
-            u1 = encode(t1.shift, t1)
-            u2 = encode(t2.shift, t2)
+            u1 = to_unified(t1.shift, t1)
+            u2 = to_unified(t2.shift, t2)
             n = min(shared, t2.dim)
             assert np.allclose(u1[:n], u2[:n], atol=1e-12)
             if t2.dim > n:
@@ -285,8 +286,8 @@ class TestSuite1:
         suite = build_suite("suite1")
         for idx in (6, 7, 8):
             t1, t2 = suite[idx].tasks
-            u1 = encode(t1.shift, t1)[: t2.dim]
-            u2 = encode(t2.shift, t2)
+            u1 = to_unified(t1.shift, t1)[: t2.dim]
+            u2 = to_unified(t2.shift, t2)
             assert not np.allclose(u1, u2)
 
     def test_deterministic_in_seed(self):
@@ -388,5 +389,5 @@ def test_register_custom_base():
     )
     task = make_task("quartic_test", 3, 0)
     assert task.lower[0] == -5.0
-    u = encode(task.shift, task)
+    u = to_unified(task.shift, task)
     assert evaluate_task(u, task) == pytest.approx(0.0, abs=1e-12)

@@ -50,6 +50,12 @@ GOLDEN_SHA256 = {
 }
 
 
+# both suites' problem sets at the default suite seed, as problem_to_dict
+# writes them; the rotations' bits come from LAPACK's QR, so this pin is
+# bound to the numeric environment too
+SUITES_SHA256 = "ce2d91d35353072339eca704fbb1fa4c8d49b3a821ee5f8d78adc4e1d67bf6a4"
+
+
 def golden_problems():
     suite = build_suite("suite1")
     manytask = MtoProblem(tasks=tuple(make_task(fn, d, 900 + i) for i, (fn, d) in enumerate(MANYTASK)))
@@ -80,3 +86,9 @@ def test_golden_artifacts(tmp_path, monkeypatch, one_cell_batches, jobs):
     out_dir = run_experiment(spec, jobs=jobs)
     digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256}
     assert digests == GOLDEN_SHA256, check_digests.environment_note()
+
+
+def test_suite_problem_sets():
+    problems = [problem_to_dict(p) for p in build_suite("suite1") + build_suite("suite2")]
+    digest = hashlib.sha256(json.dumps(problems).encode()).hexdigest()
+    assert digest == SUITES_SHA256, check_digests.environment_note()

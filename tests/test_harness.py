@@ -914,19 +914,16 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg))
         assert cli.main(["run", "--config", str(cfg_path), "--quiet"]) == 3
 
-    def test_env_seed_override(self, tiny_problems, tmp_path, monkeypatch):
+    def test_master_seed_comes_from_the_config(self, tiny_problems, tmp_path, monkeypatch):
+        # MTPSO_SEED once overrode the config's master_seed; a manifest must
+        # reproduce its results.csv whatever the environment holds
+        cfg = tiny_config(tiny_problems, tmp_path / "out")
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(tiny_config(tiny_problems, tmp_path / "out")))
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "31337")
+        cfg_path.write_text(json.dumps(cfg))
+        monkeypatch.setenv("MTPSO_SEED", "31337")
         assert cli.main(["run", "--config", str(cfg_path), "--quiet"]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["master_seed"] == 31337
-
-    def test_bad_env_seed_exits_2(self, tiny_problems, tmp_path, monkeypatch):
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(tiny_config(tiny_problems, tmp_path / "out")))
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "notanumber")
-        assert cli.main(["run", "--config", str(cfg_path), "--quiet"]) == 2
+        assert manifest["master_seed"] == cfg["master_seed"] != 31337
 
     def test_score_command_table_output(self, tiny_problems, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
